@@ -35,11 +35,9 @@ impl std::error::Error for ConfigError {}
 pub enum SimError {
     /// The configuration never could have run.
     InvalidConfig(ConfigError),
-    /// The input trace was unreadable or corrupt.
+    /// The input trace was unreadable or corrupt; it is rejected whole,
+    /// before any record is simulated.
     Trace {
-        /// Zero-based index of the first bad record (records successfully
-        /// decoded before it were simulated).
-        index: u64,
         /// The decoder's diagnosis.
         message: String,
     },
@@ -89,9 +87,7 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::InvalidConfig(error) => error.fmt(f),
-            SimError::Trace { index, message } => {
-                write!(f, "trace unusable at record {index}: {message}")
-            }
+            SimError::Trace { message } => write!(f, "trace unusable: {message}"),
             SimError::Watchdog(report) => report.fmt(f),
             SimError::WorkerPanic { message } => {
                 write!(f, "simulation worker panicked: {message}")
@@ -137,7 +133,6 @@ mod tests {
         });
         assert_eq!(config.kind(), "config");
         let trace = SimError::Trace {
-            index: 7,
             message: "bad flags".to_string(),
         };
         assert_eq!(trace.kind(), "trace");
@@ -165,11 +160,10 @@ mod tests {
     #[test]
     fn display_carries_the_diagnosis() {
         let error = SimError::Trace {
-            index: 3,
-            message: "undefined flags 0x88".to_string(),
+            message: "undefined flags 0x88 at byte offset 57".to_string(),
         };
         let text = error.to_string();
-        assert!(text.contains("record 3"), "{text}");
+        assert!(text.contains("trace unusable"), "{text}");
         assert!(text.contains("undefined flags"), "{text}");
         let config = ConfigError {
             config: "1-port naive".to_string(),

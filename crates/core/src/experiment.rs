@@ -8,6 +8,7 @@
 //! would have been.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 use cpe_stats::{geometric_mean, Table};
 use cpe_workloads::{Scale, Workload};
@@ -15,6 +16,7 @@ use cpe_workloads::{Scale, Workload};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::metrics::RunSummary;
+use crate::scheduler::run_work_stealing;
 use crate::simulator::Simulator;
 
 /// One cell of an experiment: a configuration run on a workload.
@@ -93,18 +95,30 @@ impl Experiment {
         self
     }
 
-    /// Run the full sweep. Progress is reported through `progress`
-    /// (workload, config name) before each run when provided.
+    /// Run the full sweep, one cell at a time in (workload-major,
+    /// configuration) order. Progress is reported through `progress`
+    /// (workload, config name) before each run.
     ///
     /// Each cell is isolated: an invalid configuration, a watchdog abort
     /// or a panic marks that cell failed and the sweep continues.
-    pub fn run_with_progress(&self, progress: impl FnMut(Workload, &str)) -> ExperimentResults {
-        self.run_with_runner(&Experiment::run_cell, progress)
+    pub fn run_with_progress(
+        &self,
+        progress: impl FnMut(Workload, &str) + Send,
+    ) -> ExperimentResults {
+        self.run_with_runner(&Experiment::run_cell, 1, progress)
     }
 
     /// Run the full sweep silently.
     pub fn run(&self) -> ExperimentResults {
         self.run_with_progress(|_, _| {})
+    }
+
+    /// Run the sweep across `threads` worker threads (each run is
+    /// independent and deterministic, so results are identical to
+    /// [`Experiment::run`] — only wall-clock changes). `threads = 0`
+    /// uses the machine's available parallelism.
+    pub fn run_parallel(&self, threads: usize) -> ExperimentResults {
+        self.run_with_runner(&Experiment::run_cell, threads, |_, _| {})
     }
 
     /// Validate every configuration exactly once, before any cell runs.
@@ -118,118 +132,38 @@ impl Experiment {
             .collect()
     }
 
+    /// Run every cell on the work-stealing scheduler. Rows come back in
+    /// the canonical (workload-major, config) order for any worker count,
+    /// and at one worker the cells — and so the `progress` calls — run in
+    /// that order on the calling thread.
     fn run_with_runner(
         &self,
         runner: CellRunner<'_>,
-        mut progress: impl FnMut(Workload, &str),
+        workers: usize,
+        progress: impl FnMut(Workload, &str) + Send,
     ) -> ExperimentResults {
         assert!(!self.configs.is_empty(), "add at least one configuration");
         assert!(!self.workloads.is_empty(), "add at least one workload");
         let prechecked = self.prevalidate();
-        let mut rows = Vec::new();
-        for &workload in &self.workloads {
-            for (config_index, config) in self.configs.iter().enumerate() {
-                progress(workload, &config.name);
-                let outcome = match &prechecked[config_index] {
-                    Some(error) => Err(error.clone()),
-                    None => isolate(|| runner(config, workload, self.scale, self.max_insts)),
-                };
-                rows.push(ResultRow {
-                    config_index,
-                    workload,
-                    outcome,
-                });
-            }
-        }
-        ExperimentResults {
-            configs: self.configs.clone(),
-            workloads: self.workloads.clone(),
-            rows,
-        }
-    }
-
-    /// Run the sweep across `threads` worker threads (each run is
-    /// independent and deterministic, so results are identical to
-    /// [`Experiment::run`] — only wall-clock changes). `threads = 0`
-    /// uses the machine's available parallelism.
-    pub fn run_parallel(&self, threads: usize) -> ExperimentResults {
-        self.run_parallel_with_runner(&Experiment::run_cell, threads)
-    }
-
-    fn run_parallel_with_runner(
-        &self,
-        runner: CellRunner<'_>,
-        threads: usize,
-    ) -> ExperimentResults {
-        assert!(!self.configs.is_empty(), "add at least one configuration");
-        assert!(!self.workloads.is_empty(), "add at least one workload");
-        let prechecked = self.prevalidate();
-        let workers = if threads == 0 {
-            std::thread::available_parallelism().map_or(4, |n| n.get())
-        } else {
-            threads
-        };
-        // The job grid — only the cells of valid configs go to workers,
-        // round-robin for rough balance; invalid cells fail up front.
-        let jobs: Vec<(usize, Workload)> = self
+        let cells: Vec<(Workload, usize)> = self
             .workloads
             .iter()
-            .flat_map(|&workload| (0..self.configs.len()).map(move |index| (index, workload)))
-            .filter(|&(index, _)| prechecked[index].is_none())
+            .flat_map(|&workload| (0..self.configs.len()).map(move |index| (workload, index)))
             .collect();
-        let mut rows: Vec<ResultRow> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers.min(jobs.len().max(1)))
-                .map(|worker| {
-                    let jobs = &jobs;
-                    let configs = &self.configs;
-                    let scale = self.scale;
-                    let max_insts = self.max_insts;
-                    scope.spawn(move || {
-                        jobs.iter()
-                            .skip(worker)
-                            .step_by(workers)
-                            .map(|&(config_index, workload)| {
-                                let outcome = isolate(|| {
-                                    runner(&configs[config_index], workload, scale, max_insts)
-                                });
-                                ResultRow {
-                                    config_index,
-                                    workload,
-                                    outcome,
-                                }
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| {
-                    // Cells catch their own panics; a dead worker would be
-                    // a harness bug, not a cell failure.
-                    handle.join().expect("sweep worker survived its cells")
-                })
-                .collect()
-        });
-        for &workload in &self.workloads {
-            for (config_index, error) in prechecked.iter().enumerate() {
-                if let Some(error) = error {
-                    rows.push(ResultRow {
-                        config_index,
-                        workload,
-                        outcome: Err(error.clone()),
-                    });
-                }
+        let progress = Mutex::new(progress);
+        let (rows, _) = run_work_stealing(&cells, workers, |_, &(workload, config_index)| {
+            let config = &self.configs[config_index];
+            (progress.lock().expect("progress lock"))(workload, &config.name);
+            let outcome = match &prechecked[config_index] {
+                Some(error) => Err(error.clone()),
+                None => isolate(|| runner(config, workload, self.scale, self.max_insts)),
+            };
+            ResultRow {
+                config_index,
+                workload,
+                outcome,
             }
-        }
-        // Restore the canonical (workload-major, config) order.
-        let workload_rank = |w: Workload| {
-            self.workloads
-                .iter()
-                .position(|&x| x == w)
-                .expect("job from grid")
-        };
-        rows.sort_by_key(|row| (workload_rank(row.workload), row.config_index));
+        });
         ExperimentResults {
             configs: self.configs.clone(),
             workloads: self.workloads.clone(),
@@ -492,7 +426,7 @@ mod tests {
             .config(SimConfig::dual_port())
             .workloads(&[Workload::Compress, Workload::Sort]);
         let serial = experiment.run();
-        let parallel = experiment.run_parallel(3);
+        let parallel = experiment.run_parallel(2);
         assert_eq!(serial.rows().len(), parallel.rows().len());
         for (a, b) in serial.rows().iter().zip(parallel.rows()) {
             assert_eq!(a.config_index, b.config_index);
@@ -568,8 +502,8 @@ mod tests {
             Experiment::run_cell(config, workload, scale, max_insts)
         };
         for results in [
-            experiment.run_with_runner(runner, |_, _| {}),
-            experiment.run_parallel_with_runner(runner, 2),
+            experiment.run_with_runner(runner, 1, |_, _| {}),
+            experiment.run_with_runner(runner, 2, |_, _| {}),
         ] {
             assert_eq!(results.failures().len(), 2);
             for workload in [Workload::Compress, Workload::Sort] {
@@ -593,8 +527,8 @@ mod tests {
             Experiment::run_cell(config, workload, scale, max_insts)
         };
         for results in [
-            experiment.run_with_runner(runner, |_, _| {}),
-            experiment.run_parallel_with_runner(runner, 2),
+            experiment.run_with_runner(runner, 1, |_, _| {}),
+            experiment.run_with_runner(runner, 2, |_, _| {}),
         ] {
             let error = results
                 .failure(Workload::Sort, 1)

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use cpe_isa::trace_io::{write_trace, TraceReader};
+use cpe_isa::replay::{parse_recorded, write_recorded, RecordedTrace};
 use cpe_workloads::synth::{SynthConfig, SyntheticTrace};
 
 use crate::config::SimConfig;
@@ -104,9 +104,10 @@ impl Mutation {
     }
 }
 
-/// Run a serialized trace (as produced by
-/// [`cpe_isa::trace_io::write_trace`]) through the timing model,
-/// surfacing header and record corruption as [`SimError::Trace`].
+/// Run a serialized CPER recording (as produced by
+/// [`cpe_isa::replay::write_recorded`]) through the timing model. The
+/// bytes are validated whole before any cycle runs, so header and record
+/// corruption surface as [`SimError::Trace`] and never as a partial run.
 ///
 /// # Errors
 ///
@@ -120,11 +121,10 @@ pub fn run_trace_bytes(
     max_insts: Option<u64>,
 ) -> Result<RunSummary, SimError> {
     let simulator = Simulator::try_new(config.clone())?;
-    let reader = TraceReader::new(bytes).map_err(|error| SimError::Trace {
-        index: 0,
+    let trace = parse_recorded(bytes).map_err(|error| SimError::Trace {
         message: error.to_string(),
     })?;
-    simulator.try_run_trace_results(label, reader, max_insts)
+    simulator.try_run_trace(label, trace.iter(), max_insts)
 }
 
 /// The tally of a fuzzing campaign.
@@ -171,15 +171,20 @@ impl fmt::Display for FuzzReport {
     }
 }
 
-/// The pristine byte stream the mutants are derived from: a recorded
-/// synthetic trace small enough that thousands of replays stay cheap.
+/// The pristine byte stream the mutants are derived from: a synthetic
+/// trace recorded as CPER, small enough that thousands of replays stay
+/// cheap.
 pub fn pristine_trace_bytes() -> Vec<u8> {
     let synth = SynthConfig {
         insts: 1_500,
         ..SynthConfig::default()
     };
     let mut bytes = Vec::new();
-    write_trace(&mut bytes, SyntheticTrace::new(synth)).expect("in-memory write cannot fail");
+    write_recorded(
+        &mut bytes,
+        &RecordedTrace::record(SyntheticTrace::new(synth), None),
+    )
+    .expect("in-memory write cannot fail");
     bytes
 }
 
@@ -296,6 +301,21 @@ mod tests {
         let summary = run_trace_bytes(&SimConfig::naive_single_port(), "pristine", &bytes, None)
             .expect("uncorrupted trace runs");
         assert_eq!(summary.insts, 1_500);
+    }
+
+    #[test]
+    fn corrupt_trace_records_become_typed_errors() {
+        let mut bytes = pristine_trace_bytes();
+        bytes.truncate(bytes.len() - 5);
+        let error = run_trace_bytes(&SimConfig::naive_single_port(), "torn", &bytes, None)
+            .expect_err("a torn recording must not pass silently");
+        match &error {
+            SimError::Trace { message } => {
+                assert!(message.contains("truncated at byte offset"), "{message}")
+            }
+            other => panic!("expected a trace error, got {other:?}"),
+        }
+        assert_eq!(error.kind(), "trace");
     }
 
     #[test]

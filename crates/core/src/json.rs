@@ -36,8 +36,9 @@ use crate::observe::{EpochMetrics, ProfiledRun, SelfProfile};
 /// per-epoch `cpi_slots` breakdown.
 pub const METRICS_SCHEMA: u32 = 3;
 
-/// Escape a string for a JSON literal.
-pub(crate) fn escape(text: &str) -> String {
+/// Escape a string for a JSON literal — the one escaper every document,
+/// frame and reply in the workspace goes through.
+pub fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
     for c in text.chars() {
         match c {

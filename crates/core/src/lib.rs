@@ -53,6 +53,7 @@ pub mod json;
 mod metrics;
 mod observe;
 mod report;
+pub mod scheduler;
 mod simulator;
 mod validate;
 

@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use cpe_core::json::escape;
 use cpe_core::SimError;
 use cpe_stats::Log2Histogram;
 
@@ -53,7 +54,6 @@ use crate::protocol::{
     CoordinatorFrame, JobSpec, LineEvent, LineReader, StatusBody, WorkerFrame, WorkerStatus,
     DEFAULT_HEARTBEAT, DEFAULT_MAX_LINE_BYTES, FABRIC_SCHEMA,
 };
-use crate::render::escape_text;
 use crate::serve::Server;
 
 /// Fabric timing and bounds. The defaults suit interactive sweeps;
@@ -699,7 +699,7 @@ impl FabricReport {
                     "{{\"session\":{},\"worker\":\"{}\",\"connected\":{},\"cells\":{},\
                      \"hits\":{},\"misses\":{},\"bypass\":{},\"nacks\":{},\"wall_ms\":{}}}",
                     worker.session,
-                    escape_text(&worker.name),
+                    escape(&worker.name),
                     worker.connected,
                     worker.cells,
                     worker.hits,

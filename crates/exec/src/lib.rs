@@ -8,7 +8,8 @@
 //!
 //! - [`scheduler`]: dependency-free work stealing over `std::thread`,
 //!   with results returned in submission order so aggregates are
-//!   independent of worker count.
+//!   independent of worker count. It lives in `cpe-core`, where
+//!   `Experiment` runs on it too, and is re-exported here.
 //! - [`cache`]: an on-disk result cache addressed by an FNV-1a hash of
 //!   the canonical (key-sorted) configuration JSON plus workload, scale,
 //!   instruction window, and schema versions. A cache hit returns the
@@ -38,7 +39,7 @@ pub mod job;
 pub mod observe;
 pub mod protocol;
 pub mod render;
-pub mod scheduler;
+pub use cpe_core::scheduler;
 pub mod serve;
 pub mod sweep;
 pub mod traces;

@@ -31,13 +31,13 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use cpe_core::json::escape;
 use cpe_stats::Log2Histogram;
 
 use crate::job::CacheStatus;
 use crate::protocol::{
     CoordinatorFrame, LineEvent, LineReader, StatusBody, WorkerFrame, DEFAULT_MAX_LINE_BYTES,
 };
-use crate::render::escape_text;
 
 /// Default bound on queued-but-unwritten fabric log events. Generous for
 /// any real sweep; small enough that a wedged disk costs ~1 MiB, not the
@@ -285,7 +285,7 @@ impl TraceBuilder {
                 format!(
                     "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{session},\
                      \"args\":{{\"name\":\"{} (session {session})\"}}}}",
-                    escape_text(name)
+                    escape(name)
                 )
             })
             .collect();
@@ -294,8 +294,8 @@ impl TraceBuilder {
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":0,\"tid\":{},\"cname\":\"{}\",\
                  \"args\":{{\"cell\":{},\"attempt\":{}}}}}",
-                escape_text(&span.label),
-                escape_text(&span.cat),
+                escape(&span.label),
+                escape(&span.cat),
                 span.start_us,
                 span.dur_us,
                 span.session,
@@ -593,10 +593,7 @@ impl FabricObserver {
     pub(crate) fn worker_connect(&self, session: u64, worker: &str) {
         self.emit(
             "worker_connect",
-            &format!(
-                ",\"session\":{session},\"worker\":\"{}\"",
-                escape_text(worker)
-            ),
+            &format!(",\"session\":{session},\"worker\":\"{}\"", escape(worker)),
         );
         self.with_trace(|trace, _| trace.register_worker(session, worker));
     }
@@ -604,10 +601,7 @@ impl FabricObserver {
     pub(crate) fn worker_disconnect(&self, session: u64, worker: &str) {
         self.emit(
             "worker_disconnect",
-            &format!(
-                ",\"session\":{session},\"worker\":\"{}\"",
-                escape_text(worker)
-            ),
+            &format!(",\"session\":{session},\"worker\":\"{}\"", escape(worker)),
         );
     }
 
@@ -628,8 +622,8 @@ impl FabricObserver {
                 ",\"lease\":{lease},\"cell\":{cell},\"session\":{session},\
                  \"attempt\":{attempt},\"reassigns\":{reassigns},\
                  \"config\":\"{}\",\"workload\":\"{}\"",
-                escape_text(config),
-                escape_text(workload)
+                escape(config),
+                escape(workload)
             ),
         );
         self.with_trace(|trace, now_us| {
@@ -688,7 +682,7 @@ impl FabricObserver {
             &format!(
                 ",\"lease\":{lease},\"cell\":{cell},\"session\":{session},\
                  \"kind\":\"{}\",\"stale\":{stale}",
-                escape_text(kind)
+                escape(kind)
             ),
         );
         self.with_trace(|trace, now_us| trace.close(lease, "nack", now_us));
@@ -699,8 +693,8 @@ impl FabricObserver {
             "cell_failed",
             &format!(
                 ",\"cell\":{cell},\"kind\":\"{}\",\"error\":\"{}\"",
-                escape_text(kind),
-                escape_text(message)
+                escape(kind),
+                escape(message)
             ),
         );
         if let Some(progress) = &self.progress {
@@ -741,20 +735,14 @@ impl FabricObserver {
     pub(crate) fn wait(&self, session: u64, reason: &str) {
         self.emit(
             "wait",
-            &format!(
-                ",\"session\":{session},\"reason\":\"{}\"",
-                escape_text(reason)
-            ),
+            &format!(",\"session\":{session},\"reason\":\"{}\"", escape(reason)),
         );
     }
 
     pub(crate) fn protocol_error(&self, session: u64, message: &str) {
         self.emit(
             "protocol_error",
-            &format!(
-                ",\"session\":{session},\"error\":\"{}\"",
-                escape_text(message)
-            ),
+            &format!(",\"session\":{session},\"error\":\"{}\"", escape(message)),
         );
     }
 

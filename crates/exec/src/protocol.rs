@@ -47,13 +47,12 @@
 use std::io::Read;
 use std::time::Duration;
 
+use cpe_core::json::escape;
 use cpe_core::{config_json, JsonValue, SimError};
 
 use crate::cache::{canonical_json, fnv1a64};
 use crate::job::{named_config, scale_by_name, scale_name, workload_by_name, Job};
-use crate::render::{
-    bool_member, escape_text, f64_member, member, parse, render, text_member, u64_member,
-};
+use crate::render::{bool_member, f64_member, member, parse, render, text_member, u64_member};
 
 /// Version of the fabric protocol itself; checked in both handshake
 /// directions.
@@ -244,10 +243,10 @@ impl JobSpec {
         format!(
             "{{\"config\":\"{}\",\"config_fnv\":\"{}\",\"workload\":\"{}\",\
              \"scale\":\"{}\",\"max_insts\":{window}}}",
-            escape_text(&self.config),
-            escape_text(&self.config_fnv),
-            escape_text(&self.workload),
-            escape_text(&self.scale)
+            escape(&self.config),
+            escape(&self.config_fnv),
+            escape(&self.workload),
+            escape(&self.scale)
         )
     }
 
@@ -324,7 +323,7 @@ impl WorkerFrame {
         match self {
             WorkerFrame::Hello { fabric, worker } => format!(
                 "{{\"fabric\":{fabric},\"type\":\"hello\",\"worker\":\"{}\"}}",
-                escape_text(worker)
+                escape(worker)
             ),
             WorkerFrame::Ready => "{\"type\":\"ready\"}".to_string(),
             WorkerFrame::Heartbeat { lease } => {
@@ -338,7 +337,7 @@ impl WorkerFrame {
             } => format!(
                 "{{\"type\":\"result\",\"lease\":{lease},\"cache\":\"{}\",\
                  \"wall_ms\":{:.3},\"result\":{document}}}",
-                escape_text(cache),
+                escape(cache),
                 wall_seconds * 1.0e3
             ),
             WorkerFrame::Nack {
@@ -347,8 +346,8 @@ impl WorkerFrame {
                 message,
             } => format!(
                 "{{\"type\":\"nack\",\"lease\":{lease},\"kind\":\"{}\",\"error\":\"{}\"}}",
-                escape_text(kind),
-                escape_text(message)
+                escape(kind),
+                escape(message)
             ),
             WorkerFrame::Status { fabric } => {
                 format!("{{\"fabric\":{fabric},\"type\":\"status\"}}")
@@ -437,7 +436,7 @@ impl WorkerStatus {
             "{{\"session\":{},\"worker\":\"{}\",\"connected\":{},\"cells\":{},\
              \"hits\":{},\"misses\":{},\"bypass\":{},\"nacks\":{},\"last_seen_ms\":{}}}",
             self.session,
-            escape_text(&self.worker),
+            escape(&self.worker),
             self.connected,
             self.cells,
             self.hits,
@@ -592,10 +591,7 @@ impl CoordinatorFrame {
             }
             CoordinatorFrame::Drain => "{\"type\":\"drain\"}".to_string(),
             CoordinatorFrame::Error { message } => {
-                format!(
-                    "{{\"type\":\"error\",\"message\":\"{}\"}}",
-                    escape_text(message)
-                )
+                format!("{{\"type\":\"error\",\"message\":\"{}\"}}", escape(message))
             }
             CoordinatorFrame::Status(body) => body.render(),
         }

@@ -10,6 +10,7 @@
 //! are emitted in a fixed order); numbers render integrally when they
 //! are integral, via the shortest round-trip form otherwise.
 
+use cpe_core::json::escape;
 use cpe_core::{parse_json, JsonValue};
 
 /// Parse one JSON document (a thin alias for [`cpe_core::parse_json`]).
@@ -19,23 +20,6 @@ use cpe_core::{parse_json, JsonValue};
 /// A one-line message naming the byte offset of the first syntax error.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     parse_json(text)
-}
-
-/// Escape a string for a JSON literal.
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One JSON number, deterministically: integral values in integer form,
@@ -181,11 +165,6 @@ pub fn f64_member(value: &JsonValue, key: &str) -> Result<Option<f64>, String> {
         Some(JsonValue::Number(n)) => Ok(Some(*n)),
         Some(_) => Err(format!("`{key}` must be a number")),
     }
-}
-
-/// Escape a string for embedding in a hand-built JSON frame.
-pub fn escape_text(text: &str) -> String {
-    escape(text)
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use cpe_core::json::escape;
 use cpe_core::{JsonValue, SimConfig};
 use cpe_workloads::Scale;
 
@@ -278,11 +279,7 @@ impl Server {
             Err((id, message)) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 Reply {
-                    line: format!(
-                        "{{{}\"error\":\"{}\"}}",
-                        id_field(&id),
-                        message.replace('\\', "\\\\").replace('"', "\\\"")
-                    ),
+                    line: format!("{{{}\"error\":\"{}\"}}", id_field(&id), escape(&message)),
                     shutdown: false,
                 }
             }
@@ -313,7 +310,7 @@ impl Server {
                         "{{{}\"config\":\"{}\",\"workload\":\"{}\",\"cache\":\"{}\",\
                          \"wall_ms\":{:.3},\"result\":{document}}}",
                         id_field(&id),
-                        job.config.name.replace('"', "\\\""),
+                        escape(&job.config.name),
                         job.workload.name(),
                         outcome.cache.label(),
                         outcome.wall_seconds * 1.0e3
@@ -323,7 +320,7 @@ impl Server {
                         format!(
                             "{{{}\"error\":\"{}\",\"kind\":\"{}\"}}",
                             id_field(&id),
-                            error.to_string().replace('\\', "\\\\").replace('"', "\\\""),
+                            escape(&error.to_string()),
                             error.kind()
                         )
                     }
@@ -525,6 +522,26 @@ mod tests {
         let reply = server.handle_line("{\"workload\":\"fft\",\"overrides\":{\"portz\":4}}");
         assert!(
             reply.line.contains("unknown override `portz`"),
+            "{}",
+            reply.line
+        );
+    }
+
+    #[test]
+    fn client_supplied_names_come_back_in_one_valid_frame() {
+        // Quote, backslash and newline: an unescaped echo of any of them
+        // breaks the frame or splits it in two.
+        let name = "q\"b\\s\nnl";
+        let server = server();
+        let reply = server.handle_line(&format!(
+            "{{\"workload\":\"sort\",\"overrides\":{{\"name\":\"{}\"}}}}",
+            escape(name)
+        ));
+        assert_eq!(reply.line.lines().count(), 1, "{}", reply.line);
+        let frame = parse(&reply.line).expect("the reply frame parses");
+        assert_eq!(
+            crate::render::text_at(&frame, &["config"]),
+            Some(name),
             "{}",
             reply.line
         );

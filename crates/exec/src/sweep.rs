@@ -11,6 +11,7 @@
 use std::fmt;
 use std::time::Instant;
 
+use cpe_core::json::escape;
 use cpe_core::{BackendKind, JsonValue, SimConfig, SimError, METRICS_SCHEMA};
 use cpe_stats::{geometric_mean, Table};
 use cpe_workloads::{Scale, Workload};
@@ -257,9 +258,7 @@ impl SweepResults {
         let cells: Vec<Result<JsonValue, SimError>> = outcomes
             .iter()
             .map(|outcome| match &outcome.document {
-                Ok(document) => {
-                    parse(document).map_err(|message| SimError::Trace { index: 0, message })
-                }
+                Ok(document) => parse(document).map_err(|message| SimError::Trace { message }),
                 Err(error) => Err(error.clone()),
             })
             .collect();
@@ -365,7 +364,7 @@ impl SweepResults {
             .plan
             .configs
             .iter()
-            .map(|c| format!("\"{}\"", c.name.replace('"', "\\\"")))
+            .map(|c| format!("\"{}\"", escape(&c.name)))
             .collect();
         let workloads: Vec<String> = self
             .plan
@@ -382,7 +381,7 @@ impl SweepResults {
             for (config_index, config) in self.plan.configs.iter().enumerate() {
                 let head = format!(
                     "{{\"config\":\"{}\",\"workload\":\"{}\"",
-                    config.name.replace('"', "\\\""),
+                    escape(&config.name),
                     workload.name()
                 );
                 let cell = match self.cell(workload_index, config_index) {

@@ -21,8 +21,9 @@
 //!   round-tripping, exercised by property tests.
 //! * [`asm`] — the assembler: text in, [`Program`] out.
 //! * [`Program`] — assembled text, initialised data and the symbol table.
-//! * [`replay`] — the compact record-once / replay-many trace format
-//!   behind the replay execution backend.
+//! * [`replay`] — CPER, the compact record-once / replay-many trace
+//!   format: the on-disk committed-path format and the replay execution
+//!   backend's storage.
 //!
 //! # Example
 //!
@@ -57,7 +58,6 @@ mod program;
 mod reg;
 pub mod replay;
 mod trace;
-pub mod trace_io;
 
 pub use emu::{syscalls, EmuError, Emulator, SparseMem};
 pub use encode::{decode, encode, DecodeError};

@@ -1,11 +1,10 @@
-//! Record-once / replay-many trace storage ("CPER").
+//! Record-once / replay-many trace storage ("CPER"), the one on-disk
+//! committed-path format.
 //!
-//! [`trace_io`](crate::trace_io) serialises [`DynInst`] streams as fixed
-//! 25–33 byte records — simple, but too fat to hold a whole sweep's
-//! functional execution in memory. This module is the compact sibling
-//! behind the replay execution backend: the committed path is recorded
-//! **once** per workload into a [`RecordedTrace`] and replayed through
-//! every timing configuration of a sweep without re-executing semantics.
+//! A workload's committed path is recorded **once** into a
+//! [`RecordedTrace`] and replayed through every timing configuration of
+//! a sweep without re-executing semantics; `cpe trace record` writes the
+//! same bytes to a file for `cpe replay`, and fault injection fuzzes them.
 //!
 //! The encoding exploits the shape of a committed path:
 //!
@@ -98,6 +97,13 @@ pub enum ReplayError {
         /// Dictionary size.
         entries: usize,
     },
+    /// A record's memory reference does not fit its instruction: a load
+    /// or store without an address, an address on anything else, or an
+    /// access that runs past the top of the address space.
+    BadAccess {
+        /// Byte offset of the record's flags byte.
+        offset: u64,
+    },
     /// A dictionary word failed to decode as an instruction.
     BadInst {
         /// Dictionary slot of the bad word.
@@ -122,7 +128,8 @@ impl ReplayError {
         match self {
             ReplayError::Truncated { offset }
             | ReplayError::BadFlags { offset, .. }
-            | ReplayError::BadDictIndex { offset, .. } => Some(*offset),
+            | ReplayError::BadDictIndex { offset, .. }
+            | ReplayError::BadAccess { offset } => Some(*offset),
             _ => None,
         }
     }
@@ -151,6 +158,10 @@ impl fmt::Display for ReplayError {
             } => write!(
                 f,
                 "dictionary index {index} out of range ({entries} entries) at byte offset {offset}"
+            ),
+            ReplayError::BadAccess { offset } => write!(
+                f,
+                "memory reference does not fit its instruction at byte offset {offset}"
             ),
             ReplayError::BadInst { slot, error } => {
                 write!(f, "dictionary slot {slot} does not decode: {error}")
@@ -489,9 +500,11 @@ pub fn write_recorded<W: Write>(mut writer: W, trace: &RecordedTrace) -> io::Res
 /// Any [`ReplayError`] variant; [`ReplayError::offset`] gives the file
 /// offset where one applies.
 pub fn parse_recorded(bytes: &[u8]) -> Result<RecordedTrace, ReplayError> {
+    // Lengths come from the (untrusted) header, so `at + len` may
+    // overflow; an unrepresentable end is as truncated as a missing one.
     let need = |at: usize, len: usize| -> Result<&[u8], ReplayError> {
-        bytes
-            .get(at..at + len)
+        at.checked_add(len)
+            .and_then(|end| bytes.get(at..end))
             .ok_or(ReplayError::Truncated { offset: at as u64 })
     };
     let magic = need(0, 4)?;
@@ -509,13 +522,21 @@ pub fn parse_recorded(bytes: &[u8]) -> Result<RecordedTrace, ReplayError> {
         cap => Some(cap),
     };
     let dict_len = u32::from_le_bytes(need(25, 4)?.try_into().expect("4 bytes"));
-    let mut dict = Vec::with_capacity(dict_len as usize);
-    let mut at = 29usize;
-    for slot in 0..dict_len {
-        let word = u64::from_le_bytes(need(at, 8)?.try_into().expect("8 bytes"));
-        dict.push(decode(word).map_err(|error| ReplayError::BadInst { slot, error })?);
-        at += 8;
-    }
+    // The whole dictionary must be present before anything is allocated
+    // for it: a hostile count may not reserve memory the file cannot back.
+    let dict_bytes = need(
+        29,
+        usize::try_from(u64::from(dict_len) * 8)
+            .map_err(|_| ReplayError::Truncated { offset: 29 })?,
+    )?;
+    let dict = (0..dict_len)
+        .zip(dict_bytes.chunks_exact(8))
+        .map(|(slot, word)| {
+            decode(u64::from_le_bytes(word.try_into().expect("8 bytes")))
+                .map_err(|error| ReplayError::BadInst { slot, error })
+        })
+        .collect::<Result<Vec<Inst>, ReplayError>>()?;
+    let mut at = 29 + dict_bytes.len();
     let payload_len = u64::from_le_bytes(need(at, 8)?.try_into().expect("8 bytes"));
     at += 8;
     let payload_base = at as u64;
@@ -549,7 +570,24 @@ pub fn parse_recorded(bytes: &[u8]) -> Result<RecordedTrace, ReplayError> {
     };
     let mut cursor = Cursor::new(&payload);
     let mut found = 0u64;
-    while cursor.next_record(&dict).map_err(rebase)?.is_some() {
+    loop {
+        let at = cursor.pos as u64;
+        let Some(di) = cursor.next_record(&dict).map_err(rebase)? else {
+            break;
+        };
+        // The timing model takes a load's or store's address range on
+        // trust, so a record whose reference does not fit its opcode is
+        // corrupt even though every field decoded.
+        let fits = match (di.inst.op.mem_width(), di.mem_addr) {
+            (Some(width), Some(addr)) => addr.checked_add(width.bytes()).is_some(),
+            (None, None) => true,
+            _ => false,
+        };
+        if !fits {
+            return Err(ReplayError::BadAccess {
+                offset: payload_base + at,
+            });
+        }
         found += 1;
     }
     if found != records {
@@ -614,15 +652,9 @@ mod tests {
     fn compact_beats_the_fixed_record_format() {
         let trace = sample_trace();
         let recorded = RecordedTrace::record(trace.iter().copied(), None);
-        let mut fixed = Vec::new();
-        crate::trace_io::write_trace(&mut fixed, trace.iter().copied()).unwrap();
         let info = recorded.info();
-        assert!(
-            info.payload_bytes * 4 < fixed.len(),
-            "delta encoding should be ≥4× smaller: {} vs {}",
-            info.payload_bytes,
-            fixed.len()
-        );
+        // A fixed-width record (flags u8, pc u64, word u64, next_pc u64)
+        // takes at least 25 bytes; the delta encoding stays under 5.
         assert!(info.bytes_per_record() < 5.0, "{}", info.bytes_per_record());
         assert!(info.dict_entries < trace.len());
     }
@@ -734,6 +766,69 @@ mod tests {
             parse_recorded(&bytes),
             Err(ReplayError::BadDictIndex { .. })
         ));
+    }
+
+    #[test]
+    fn memory_references_must_fit_their_instructions() {
+        let trace = sample_trace();
+        let load = trace
+            .iter()
+            .position(|di| di.inst.op.is_load())
+            .expect("the sample loads");
+        let alu = trace
+            .iter()
+            .position(|di| !di.inst.op.is_mem())
+            .expect("the sample computes");
+        let mut no_address = trace.clone();
+        no_address[load].mem_addr = None;
+        let mut spurious = trace.clone();
+        spurious[alu].mem_addr = Some(0x2000);
+        let mut wrapping = trace.clone();
+        wrapping[load].mem_addr = Some(u64::MAX - 3);
+        for (bad, index) in [(no_address, load), (spurious, alu), (wrapping, load)] {
+            let recorded = RecordedTrace::record(bad.iter().copied(), None);
+            let mut bytes = Vec::new();
+            write_recorded(&mut bytes, &recorded).unwrap();
+            let payload_base = bytes.len() - recorded.payload.len();
+            match parse_recorded(&bytes) {
+                Err(ReplayError::BadAccess { offset }) => {
+                    assert!(offset as usize >= payload_base, "record {index}")
+                }
+                other => panic!("record {index}: expected BadAccess, got {other:?}"),
+            }
+        }
+    }
+
+    /// A header with `dict_len` fields but no dictionary behind it.
+    fn header(dict_len: u32) -> Vec<u8> {
+        let mut bytes = REPLAY_MAGIC.to_vec();
+        bytes.extend_from_slice(&REPLAY_FORMAT.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.push(1);
+        bytes.extend_from_slice(&WINDOW_NONE.to_le_bytes());
+        bytes.extend_from_slice(&dict_len.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_hostile_dictionary_length_is_truncation_not_an_allocation() {
+        let bytes = header(u32::MAX);
+        assert_eq!(bytes.len(), 29);
+        match parse_recorded(&bytes) {
+            Err(ReplayError::Truncated { offset }) => assert_eq!(offset, 29),
+            other => panic!("expected Truncated, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_hostile_payload_length_is_truncation_not_an_overflow() {
+        let mut bytes = header(0);
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 37);
+        match parse_recorded(&bytes) {
+            Err(ReplayError::Truncated { offset }) => assert_eq!(offset, 37),
+            other => panic!("expected Truncated, got {other:?}"),
+        }
     }
 
     #[test]

@@ -252,4 +252,12 @@ echo "== fabric chaos: seeded fuzz cases" >&2
 cargo run --release --bin cpe -q -- fuzz-fabric --cases 2 --seed "$$" \
     >/dev/null
 
+# Trace-corruption gate: seeded bit flips, overwritten bytes and
+# truncations of a CPER recording, each replayed through the timing
+# model. Every mutant must come back clean or as a typed error; a panic
+# exits nonzero and the printed seed reproduces the campaign.
+echo "== trace chaos: seeded CPER corruption cases" >&2
+cargo run --release --bin cpe -q -- fuzz-trace --cases 200 --seed "$$" \
+    >/dev/null
+
 echo "all checks passed" >&2

@@ -3,9 +3,9 @@
 //! ```text
 //! cpe asm <file.s>                  assemble and print the listing
 //! cpe trace <file.s> [-n N]         print the first N executed instructions
-//! cpe trace record --workload NAME [--scale S] [--max N] [-o FILE]
-//!                                   record a workload's committed path to a
-//!                                   compact replay trace (CPER format)
+//! cpe trace record (--workload NAME [--scale S] | <file.s>) [--max N] [-o FILE]
+//!                                   record a workload's or program's
+//!                                   committed path to a CPER replay trace
 //! cpe trace info <file.cper>        describe a recorded replay trace
 //! cpe run <file.s> [--config NAME] [--max N] [--detail] [--metrics-json FILE]
 //!                                   run the timing model, print the metrics
@@ -23,11 +23,11 @@
 //!              [--ring N] [-o FILE]
 //!                                   per-instruction pipeline view of the
 //!                                   newest retained window, Konata format
-//! cpe record <file.s> -o <trace>    record the executed path to a trace file
-//! cpe replay <trace> [--config NAME] [--max N]
+//! cpe replay <file.cper> [--config NAME] [--max N]
 //!                                   run the timing model over a recorded trace
 //! cpe fuzz-trace [--cases N] [--seed S] [--config NAME]
-//!                                   replay corrupted traces; fail on any panic
+//!                                   replay corrupted CPER recordings; fail on
+//!                                   any panic
 //! cpe bench [--name N] [--config NAME] [--max N] [--out FILE] [--jobs N]
 //!                                   benchmark the simulator itself over the
 //!                                   standard workloads; write BENCH_<name>.json
@@ -82,15 +82,14 @@ use cpe::exec::{
     FabricOptions, ResultCache, ServeDefaults, Server, SweepPlan, SweepProgress, SweepResults,
     WorkerOptions, DEFAULT_CACHE_DIR, DEFAULT_EVENT_CAPACITY, FABRIC_SCHEMA,
 };
-use cpe::isa::replay::{parse_recorded, write_recorded, ReplayError, REPLAY_MAGIC};
-use cpe::isa::trace_io::{write_trace, TraceReader};
+use cpe::isa::replay::{parse_recorded, write_recorded, RecordedTrace, ReplayError, REPLAY_MAGIC};
 use cpe::isa::{asm::assemble, Emulator, Program};
 use cpe::stats::Table;
 use cpe::trace::{build_records, chrome_trace_json, jsonl_record, konata_text, TraceHandle};
 use cpe::workloads::{Scale, Workload};
 use cpe::{
     diff_json, faultinject, profile_json, BackendKind, BenchReport, ProfileOptions, ProfiledRun,
-    RecordedWorkload, SimConfig, SimError, Simulator,
+    SimConfig, Simulator, RECORD_HEADROOM,
 };
 
 fn all_configs() -> Vec<SimConfig> {
@@ -468,26 +467,49 @@ fn replay_diagnosis(path: &str, error: &ReplayError) -> String {
     }
 }
 
-/// `cpe trace record`: run a workload functionally and save its
-/// committed path as a compact CPER replay trace. With `--max N` the
-/// recording keeps the same headroom past the window the replay backend
-/// records, so replaying it reproduces a direct `--max N` run exactly.
+/// `cpe trace record`: run a workload (`--workload NAME`) or an
+/// assembly program (`<file.s>`) functionally and save its committed
+/// path as a compact CPER replay trace. With `--max N` the recording
+/// keeps the same headroom past the window the replay backend records,
+/// so replaying it reproduces a direct `--max N` run exactly.
 fn cmd_trace_record(args: &[String]) -> Result<(), String> {
-    let workload_name = parse_flag(args, "--workload")
-        .ok_or_else(|| format!("trace record needs --workload NAME\n\n{}", usage()))?;
-    let workload = workload_by_name(&workload_name)
-        .ok_or_else(|| format!("unknown workload `{workload_name}` (see `cpe workloads`)"))?;
-    let scale = parse_scale(args)?;
-    let max = parse_number(args, "--max")?;
-    let out = parse_flag(args, "-o").unwrap_or_else(|| format!("{workload_name}.cper"));
-    let recorded = RecordedWorkload::record(workload, scale, max);
+    let max: Option<u64> = parse_number(args, "--max")?;
+    let cap = max.map(|max| max.saturating_add(RECORD_HEADROOM));
+    let programs = positionals(args, &["--workload", "--scale", "--max", "-o"]);
+    let (label, trace, default_out) = match (parse_flag(args, "--workload"), &programs[..]) {
+        (Some(name), []) => {
+            let workload = workload_by_name(&name)
+                .ok_or_else(|| format!("unknown workload `{name}` (see `cpe workloads`)"))?;
+            let trace = RecordedTrace::record(workload.trace(parse_scale(args)?), cap);
+            let out = format!("{name}.cper");
+            (name, trace, out)
+        }
+        (None, [path]) => {
+            if parse_flag(args, "--scale").is_some() {
+                return Err("--scale applies to --workload recordings only".to_string());
+            }
+            let trace = RecordedTrace::record(Emulator::new(load_program(path)?), cap);
+            let out = std::path::Path::new(path.as_str())
+                .with_extension("cper")
+                .display()
+                .to_string();
+            (path.to_string(), trace, out)
+        }
+        _ => {
+            return Err(format!(
+                "trace record needs --workload NAME or one program <file.s>\n\n{}",
+                usage()
+            ))
+        }
+    };
+    let out = parse_flag(args, "-o").unwrap_or(default_out);
     let file =
         std::fs::File::create(&out).map_err(|error| format!("cannot create `{out}`: {error}"))?;
-    let bytes = write_recorded(std::io::BufWriter::new(file), recorded.trace())
+    let bytes = write_recorded(std::io::BufWriter::new(file), &trace)
         .map_err(|error| format!("cannot write `{out}`: {error}"))?;
-    let info = recorded.trace().info();
+    let info = trace.info();
     println!(
-        "recorded {} instruction(s) of {workload_name} to {out}: {bytes} bytes \
+        "recorded {} instruction(s) of {label} to {out}: {bytes} bytes \
          ({:.2} bytes/record, {} dict entries{})",
         info.records,
         info.bytes_per_record(),
@@ -528,37 +550,27 @@ fn cmd_trace_info(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_record(path: &str, output: &str) -> Result<(), String> {
-    let program = load_program(path)?;
-    let file = std::fs::File::create(output)
-        .map_err(|error| format!("cannot create `{output}`: {error}"))?;
-    let written = write_trace(std::io::BufWriter::new(file), Emulator::new(program))
-        .map_err(|error| error.to_string())?;
-    println!("recorded {written} instructions to {output}");
-    Ok(())
-}
-
+/// `cpe replay`: time a CPER recording. The file is validated whole
+/// first, so corruption exits with a `file:offset:` diagnosis before any
+/// cycle runs.
 fn cmd_replay(path: &str, config_name: Option<String>, max: Option<u64>) -> Result<(), String> {
-    let name = config_name.unwrap_or_else(|| "combined_single_port".to_string());
-    let config = match name.as_str() {
-        "combined_single_port" => SimConfig::combined_single_port(),
-        other => config_by_name(other)
-            .ok_or_else(|| format!("unknown config `{other}` (see `cpe configs`)"))?,
-    };
-    let file =
-        std::fs::File::open(path).map_err(|error| format!("cannot open `{path}`: {error}"))?;
-    let reader = TraceReader::new(std::io::BufReader::new(file))
-        .map_err(|error| format!("{path}: {error}"))?;
-    match Simulator::new(config).try_run_trace_results(path, reader, max) {
-        Ok(summary) => {
-            println!("{summary}");
-            Ok(())
-        }
-        Err(SimError::Trace { index, message }) => Err(format!(
-            "{path}: replay stopped at record {index}: {message}"
-        )),
-        Err(error) => Err(format!("{path}: {error}")),
+    let config = resolve_config(config_name)?;
+    let bytes = std::fs::read(path).map_err(|error| format!("cannot read `{path}`: {error}"))?;
+    let trace = parse_recorded(&bytes).map_err(|error| replay_diagnosis(path, &error))?;
+    // A capped recording holds its window plus the headroom the core
+    // fetches ahead; asking for more would time a drained stream.
+    let covered = trace.records().saturating_sub(RECORD_HEADROOM);
+    if !trace.complete() && max.is_none_or(|max| max > covered) {
+        return Err(format!(
+            "{path}: the recording is capped at {} record(s); pass --max {covered} or less",
+            trace.records()
+        ));
     }
+    let summary = Simulator::new(config)
+        .try_run_trace(path, trace.iter(), max)
+        .map_err(|error| format!("{path}: {error}"))?;
+    println!("{summary}");
+    Ok(())
 }
 
 fn cmd_fuzz_trace(config_name: Option<String>, cases: u64, seed: u64) -> Result<(), String> {
@@ -1082,7 +1094,7 @@ fn cmd_configs() {
 
 fn usage() -> &'static str {
     "usage:\n  cpe asm <file.s>\n  cpe trace <file.s> [-n N]\n  \
-     cpe trace record --workload NAME [--scale S] [--max N] [-o FILE]\n  \
+     cpe trace record (--workload NAME [--scale S] | <file.s>) [--max N] [-o FILE]\n  \
      cpe trace info <file.cper>\n  cpe run <file.s> \
      [--config NAME] [--max N] [--detail] [--metrics-json FILE]\n  cpe profile \
      --workload NAME [--config NAME] [--scale test|small|full] [--max N]\n              \
@@ -1091,7 +1103,7 @@ fn usage() -> &'static str {
      cpe explain <CONFIG_A> <CONFIG_B> [--workload NAME] [--scale S] [--max N]\n  \
      cpe pipeview --workload NAME [--config NAME] [--scale S] [--max N]\n               \
      [--ring N] [-o FILE]\n  \
-     cpe record <file.s> -o <trace>\n  cpe replay <trace> [--config NAME] [--max N]\n  \
+     cpe replay <file.cper> [--config NAME] [--max N]\n  \
      cpe fuzz-trace [--cases N] [--seed S] [--config NAME]\n  \
      cpe bench [--name N] [--config NAME] [--max N] [--out FILE] [--jobs N]\n  \
      cpe sweep [--jobs N] [--scale test|small|full] [--max N] [--configs a,b]\n            \
@@ -1193,11 +1205,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                 &[],
             )?;
             done(cmd_pipeview(&args[1..]))
-        }
-        Some("record") if args.len() >= 2 => {
-            reject_unknown_flags(&args[1..], &["-o"], &[])?;
-            let output = parse_flag(args, "-o").unwrap_or_else(|| "trace.cpet".to_string());
-            done(cmd_record(&args[1], &output))
         }
         Some("replay") if args.len() >= 2 => {
             reject_unknown_flags(&args[1..], &["--config", "--max"], &[])?;

@@ -45,7 +45,7 @@ fn usage_covers_every_subcommand() {
         "cpe run",
         "cpe profile",
         "cpe compare",
-        "cpe record",
+        "cpe trace record",
         "cpe replay",
         "cpe fuzz-trace",
         "cpe bench",
@@ -147,10 +147,10 @@ fn unknown_config_is_a_clean_error() {
 fn record_then_replay_matches_run() {
     let dir = tempdir();
     let program = write_program(&dir);
-    let trace = dir.join("prog.cpet");
+    let trace = dir.join("prog.cper");
 
     let recorded = cpe()
-        .args(["record"])
+        .args(["trace", "record"])
         .arg(&program)
         .arg("-o")
         .arg(&trace)
@@ -196,27 +196,67 @@ fn workloads_and_configs_listings() {
 fn replay_of_a_corrupt_trace_names_the_record_and_exits_2() {
     let dir = tempdir();
     let program = write_program(&dir);
-    let trace = dir.join("corrupt.cpet");
+    let trace = dir.join("corrupt.cper");
     let recorded = cpe()
-        .args(["record"])
+        .args(["trace", "record"])
         .arg(&program)
         .arg("-o")
         .arg(&trace)
         .output()
         .unwrap();
     assert!(recorded.status.success());
+    let pristine = std::fs::read(&trace).unwrap();
+    // The payload follows the 29-byte fixed header, the dictionary and
+    // the 8-byte payload length; its first byte is record 0's flags.
+    let dict_len = u32::from_le_bytes(pristine[25..29].try_into().unwrap()) as usize;
+    let payload = 29 + 8 * dict_len + 8;
 
-    // Chop mid-record: the replay must stop there, not unwind.
-    let mut bytes = std::fs::read(&trace).unwrap();
-    let len = bytes.len();
-    bytes.truncate(len - 7);
-    std::fs::write(&trace, &bytes).unwrap();
+    // A torn write (the payload no longer fits its length field) and an
+    // undefined flag bit in record 0: both are diagnosed with the byte
+    // offset before any cycle runs, never unwound.
+    let torn = pristine[..pristine.len() - 7].to_vec();
+    let mut flipped = pristine.clone();
+    flipped[payload] |= 0x80;
+    for (bytes, offset) in [(torn, payload), (flipped, payload)] {
+        std::fs::write(&trace, &bytes).unwrap();
+        let output = cpe().args(["replay"]).arg(&trace).output().unwrap();
+        assert_eq!(output.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let located = format!("{}:{offset}:", trace.display());
+        assert!(stderr.contains(&located), "want `{located}` in {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
 
-    let output = cpe().args(["replay"]).arg(&trace).output().unwrap();
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("stopped at record"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+#[test]
+fn replay_of_a_capped_recording_needs_a_covered_window() {
+    let dir = tempdir();
+    let trace = dir.join("sort.cper");
+    let recorded = cpe()
+        .args([
+            "trace",
+            "record",
+            "--workload",
+            "sort",
+            "--max",
+            "100",
+            "-o",
+        ])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(recorded.status.success());
+    let uncovered = cpe().args(["replay"]).arg(&trace).output().unwrap();
+    assert_eq!(uncovered.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&uncovered.stderr);
+    assert!(stderr.contains("--max 100 or less"), "{stderr}");
+    let covered = cpe()
+        .args(["replay"])
+        .arg(&trace)
+        .args(["--max", "100"])
+        .output()
+        .unwrap();
+    assert!(covered.status.success());
 }
 
 #[test]
