@@ -18,6 +18,7 @@ use cpe_workloads::{Scale, Workload};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::json::METRICS_SCHEMA;
+use crate::scheduler::run_work_stealing;
 use crate::simulator::Simulator;
 
 /// One workload's measurements.
@@ -82,22 +83,33 @@ pub fn peak_rss_bytes() -> Option<u64> {
 
 impl BenchReport {
     /// Run the standard suite ([`Workload::ALL`] at test scale, up to
-    /// `max_insts` measured instructions each) under `config`.
+    /// `max_insts` measured instructions each) under `config`, spread
+    /// across `workers` threads (1 runs the suite in order on the
+    /// calling thread; 0 uses every core).
+    ///
+    /// Each workload's wall time is measured on the thread that ran it,
+    /// and the totals are the *sum* of those times — the suite's cost in
+    /// CPU terms, comparable across worker counts — not the elapsed wall
+    /// of the batch. The simulated counters do not depend on `workers`.
     ///
     /// # Errors
     ///
-    /// [`SimError::Watchdog`] when any workload's pipeline stops making
-    /// progress.
-    pub fn run(name: &str, config: &SimConfig, max_insts: u64) -> Result<BenchReport, SimError> {
-        let sim = Simulator::new(config.clone());
-        let mut entries = Vec::new();
-        let mut total_wall = 0.0;
-        for workload in Workload::ALL {
+    /// [`SimError::InvalidConfig`] up front for an invalid `config`; otherwise
+    /// the first failing workload's error in suite order, such as
+    /// [`SimError::Watchdog`] when a pipeline stops making progress.
+    pub fn run(
+        name: &str,
+        config: &SimConfig,
+        max_insts: u64,
+        workers: usize,
+    ) -> Result<BenchReport, SimError> {
+        config.validate()?;
+        let (results, _) = run_work_stealing(&Workload::ALL, workers, |_, &workload| {
+            let sim = Simulator::new(config.clone());
             let started = Instant::now();
             let summary = sim.try_run(workload, Scale::Test, Some(max_insts))?;
             let wall = started.elapsed().as_secs_f64();
-            total_wall += wall;
-            entries.push(BenchEntry {
+            Ok::<BenchEntry, SimError>(BenchEntry {
                 workload: workload.name().to_string(),
                 cycles: summary.cycles,
                 insts: summary.insts,
@@ -114,8 +126,10 @@ impl BenchReport {
                     0.0
                 },
                 sched_events_peak: summary.raw.cpu.sched_events_peak.get(),
-            });
-        }
+            })
+        });
+        let entries = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let total_wall = entries.iter().map(|e| e.wall_seconds).sum();
         Ok(BenchReport::assemble(
             name,
             &config.name,
@@ -126,7 +140,7 @@ impl BenchReport {
     }
 
     /// Fold per-workload entries into a report with suite totals.
-    pub fn assemble(
+    fn assemble(
         name: &str,
         config: &str,
         max_insts: u64,
@@ -250,7 +264,7 @@ mod tests {
     #[test]
     fn bench_covers_the_suite_and_exports_sound_json() {
         let report =
-            BenchReport::run("smoke", &SimConfig::combined_single_port(), 1_000).expect("runs");
+            BenchReport::run("smoke", &SimConfig::combined_single_port(), 1_000, 1).expect("runs");
         assert_eq!(report.entries.len(), Workload::ALL.len());
         assert!(report.total_cycles > 0);
         assert!(report.total_wall_seconds >= 0.0);
@@ -274,11 +288,36 @@ mod tests {
 
     #[test]
     fn simulated_counters_are_deterministic_across_bench_runs() {
-        let a = BenchReport::run("a", &SimConfig::dual_port(), 500).expect("runs");
-        let b = BenchReport::run("a", &SimConfig::dual_port(), 500).expect("runs");
+        let a = BenchReport::run("a", &SimConfig::dual_port(), 500, 1).expect("runs");
+        let b = BenchReport::run("a", &SimConfig::dual_port(), 500, 1).expect("runs");
         for (x, y) in a.entries.iter().zip(&b.entries) {
             assert_eq!(x.cycles, y.cycles, "{}", x.workload);
             assert_eq!(x.insts, y.insts, "{}", x.workload);
+        }
+    }
+
+    #[test]
+    fn parallel_bench_matches_serial_simulated_counters() {
+        let config = SimConfig::dual_port();
+        let serial = BenchReport::run("b", &config, 1_000, 1).expect("serial bench runs");
+        let parallel = BenchReport::run("b", &config, 1_000, 2).expect("parallel bench runs");
+        assert_eq!(serial.entries.len(), parallel.entries.len());
+        for (a, b) in serial.entries.iter().zip(&parallel.entries) {
+            assert_eq!(a.workload, b.workload, "suite order is preserved");
+            assert_eq!(a.cycles, b.cycles, "{}", a.workload);
+            assert_eq!(a.insts, b.insts, "{}", a.workload);
+            assert_eq!(a.sched_events_peak, b.sched_events_peak, "{}", a.workload);
+        }
+        assert_eq!(serial.total_cycles, parallel.total_cycles);
+        assert_eq!(serial.total_insts, parallel.total_insts);
+    }
+
+    #[test]
+    fn parallel_bench_rejects_invalid_configs_up_front() {
+        let bad = SimConfig::dual_port().with_ports(0);
+        for workers in [1, 2] {
+            let error = BenchReport::run("b", &bad, 1_000, workers).expect_err("zero ports");
+            assert_eq!(error.kind(), "config", "{workers} worker(s)");
         }
     }
 

@@ -82,7 +82,7 @@ fn opt(value: Option<u64>) -> String {
 /// A [`Log2Histogram`] as `{count, mean, max, p50, p90, p95, p99,
 /// buckets}`, where `buckets` lists only the non-empty `[lo, hi, count]`
 /// ranges.
-fn log2hist_json(hist: &Log2Histogram) -> String {
+pub fn log2hist_json(hist: &Log2Histogram) -> String {
     let buckets: Vec<String> = hist
         .iter_buckets()
         .map(|(lo, hi, count)| format!("[{lo},{hi},{count}]"))

@@ -12,8 +12,7 @@
 //! [`chaos_case`] checks, with a seeded RNG choosing the cast so
 //! `cpe fuzz-fabric` can sweep many topologies.
 
-use std::io::{BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -24,10 +23,10 @@ use crate::coordinator::{Coordinator, FabricOptions, FabricStats};
 use crate::job::run_job;
 use crate::observe::{FabricObserver, LogSummary, WorkerReport};
 use crate::protocol::{
-    CoordinatorFrame, JobSpec, LineEvent, LineReader, WorkerFrame, DEFAULT_MAX_LINE_BYTES,
-    FABRIC_SCHEMA,
+    CoordinatorFrame, JobSpec, ServeDefaults, TcpConnection, WorkerFrame, FABRIC_LINE_BYTES,
+    FABRIC_SCHEMA, NEVER,
 };
-use crate::serve::{ServeDefaults, Server};
+use crate::serve::Server;
 use crate::sweep::{SweepPlan, SweepResults};
 use crate::worker::{run_worker, WorkerOptions};
 
@@ -88,7 +87,6 @@ impl Behavior {
             Behavior::Healthy => {
                 let options = WorkerOptions {
                     name: "chaos-healthy".to_string(),
-                    ..WorkerOptions::default()
                 };
                 run_worker(addr, None, &options, stop).map(|_| ())
             }
@@ -101,47 +99,28 @@ impl Behavior {
 }
 
 /// A scripted fabric client: just enough protocol to misbehave with
-/// precision. Blocking reads — an actor's liveness is bounded by the
-/// coordinator closing its connection (drain, idle timeout, or refusal).
+/// precision. Reads ignore every stop flag — an actor's liveness is
+/// bounded by the coordinator closing its connection (drain, idle
+/// timeout, or refusal).
 struct Actor {
-    reader: LineReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    connection: TcpConnection,
 }
 
 impl Actor {
     fn connect(addr: &str) -> Result<Actor, String> {
-        let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-        let reader = LineReader::new(
-            stream.try_clone().map_err(|e| format!("clone: {e}"))?,
-            DEFAULT_MAX_LINE_BYTES,
-        );
         Ok(Actor {
-            reader,
-            writer: BufWriter::new(stream),
+            connection: TcpConnection::connect(addr, FABRIC_LINE_BYTES)?,
         })
     }
 
-    fn send_raw(&mut self, line: &str) -> Result<(), String> {
-        writeln!(self.writer, "{line}")
-            .and_then(|()| self.writer.flush())
+    fn send(&mut self, frame: &WorkerFrame) -> Result<(), String> {
+        self.connection
+            .send(&frame.render())
             .map_err(|e| format!("write: {e}"))
     }
 
-    fn send(&mut self, frame: &WorkerFrame) -> Result<(), String> {
-        self.send_raw(&frame.render())
-    }
-
     fn recv(&mut self) -> Result<Option<CoordinatorFrame>, String> {
-        loop {
-            match self.reader.poll_line().map_err(|e| format!("read: {e}"))? {
-                LineEvent::Line(line) => {
-                    return CoordinatorFrame::parse(&line).map(Some);
-                }
-                LineEvent::Idle => {}
-                LineEvent::Eof => return Ok(None),
-                LineEvent::TooLong => return Err("oversized coordinator frame".to_string()),
-            }
-        }
+        CoordinatorFrame::recv(&mut self.connection, &NEVER, None)
     }
 
     fn handshake(&mut self, name: &str) -> Result<(), String> {
@@ -210,16 +189,16 @@ impl Actor {
                 Ok(())
             }
             Behavior::Garbage => {
-                let _ = self.send_raw("%%% not a frame %%%");
+                let _ = self.connection.send("%%% not a frame %%%");
                 self.await_eof();
                 Ok(())
             }
             Behavior::TornResult => {
                 if let Some((lease, spec)) = self.lease()? {
                     let frame = Actor::honest_result(lease, &spec)?.render();
-                    let torn = &frame.as_bytes()[..frame.len() / 2];
-                    let _ = self.writer.write_all(torn);
-                    let _ = self.writer.flush();
+                    let _ = self
+                        .connection
+                        .send_torn(&frame.as_bytes()[..frame.len() / 2]);
                 }
                 Ok(()) // drop mid-frame, no newline ever sent
             }
@@ -277,7 +256,6 @@ pub fn test_options() -> FabricOptions {
         max_inflight: 8,
         wait_hint: Duration::from_millis(20),
         idle_timeout: Duration::from_secs(2),
-        ..FabricOptions::default()
     }
 }
 

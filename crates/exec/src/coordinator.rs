@@ -37,22 +37,22 @@
 //!   hanging or silently shrinking the grid.
 
 use std::collections::HashMap;
-use std::io::{BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use cpe_core::json::escape;
+use cpe_core::json::{escape, log2hist_json};
 use cpe_core::SimError;
 use cpe_stats::Log2Histogram;
 
 use crate::cache::fnv1a64;
 use crate::job::{CacheStatus, Job, JobOutcome};
-use crate::observe::{log2hist_json, FabricObserver, LogSummary, WorkerReport};
+use crate::observe::{FabricObserver, LogSummary, WorkerReport};
 use crate::protocol::{
-    CoordinatorFrame, JobSpec, LineEvent, LineReader, StatusBody, WorkerFrame, WorkerStatus,
-    DEFAULT_HEARTBEAT, DEFAULT_MAX_LINE_BYTES, FABRIC_SCHEMA,
+    accept_until, CoordinatorFrame, JobSpec, Opening, Received, StatusBody, TcpConnection,
+    WorkerFrame, WorkerStatus, DEFAULT_HEARTBEAT, FABRIC_LINE_BYTES, FABRIC_SCHEMA,
+    SERVE_IDLE_TIMEOUT, SERVE_LINE_BYTES,
 };
 use crate::serve::Server;
 
@@ -74,10 +74,9 @@ pub struct FabricOptions {
     pub max_inflight: usize,
     /// Delay suggested to workers in `wait` frames.
     pub wait_hint: Duration,
-    /// Close a connection silent for this long.
+    /// Close a fabric connection silent for this long (and a new
+    /// connection that has not sent its first line).
     pub idle_timeout: Duration,
-    /// Per-line byte cap on worker connections.
-    pub max_line_bytes: usize,
 }
 
 impl Default for FabricOptions {
@@ -91,7 +90,6 @@ impl Default for FabricOptions {
             max_inflight: 64,
             wait_hint: Duration::from_millis(100),
             idle_timeout: Duration::from_secs(10),
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
         }
     }
 }
@@ -196,15 +194,8 @@ struct LeaseRecord {
 
 /// Per-session fleet accounting, indexed by `session - 1`.
 struct WorkerSlot {
-    name: String,
-    connected: bool,
+    report: WorkerReport,
     last_seen: Instant,
-    cells: u64,
-    hits: u64,
-    misses: u64,
-    bypass: u64,
-    nacks: u64,
-    wall_ms: Log2Histogram,
 }
 
 /// The coordinator's shared state: every mutation happens under one
@@ -277,15 +268,13 @@ impl FabricState {
         self.next_session += 1;
         self.stats.workers_seen += 1;
         self.workers.push(WorkerSlot {
-            name: worker.to_string(),
-            connected: true,
+            report: WorkerReport {
+                session: self.next_session,
+                name: worker.to_string(),
+                connected: true,
+                ..WorkerReport::default()
+            },
             last_seen: now,
-            cells: 0,
-            hits: 0,
-            misses: 0,
-            bypass: 0,
-            nacks: 0,
-            wall_ms: Log2Histogram::new(),
         });
         obs.worker_connect(self.next_session, worker);
         self.next_session
@@ -295,7 +284,7 @@ impl FabricState {
     /// separately by [`FabricState::revoke_session`]).
     fn session_closed(&mut self, session: u64) {
         if let Some(slot) = self.worker_mut(session) {
-            slot.connected = false;
+            slot.report.connected = false;
         }
     }
 
@@ -324,17 +313,16 @@ impl FabricState {
             workers: self
                 .workers
                 .iter()
-                .enumerate()
-                .map(|(index, slot)| WorkerStatus {
-                    session: index as u64 + 1,
-                    worker: slot.name.clone(),
-                    connected: slot.connected,
-                    cells: slot.cells,
-                    hits: slot.hits,
-                    misses: slot.misses,
-                    bypass: slot.bypass,
-                    nacks: slot.nacks,
-                    last_seen_ms: now.saturating_duration_since(slot.last_seen).as_millis() as u64,
+                .map(|WorkerSlot { report, last_seen }| WorkerStatus {
+                    session: report.session,
+                    worker: report.name.clone(),
+                    connected: report.connected,
+                    cells: report.cells,
+                    hits: report.hits,
+                    misses: report.misses,
+                    bypass: report.bypass,
+                    nacks: report.nacks,
+                    last_seen_ms: now.saturating_duration_since(*last_seen).as_millis() as u64,
                 })
                 .collect(),
         }
@@ -473,13 +461,14 @@ impl FabricState {
         }
         if let Some(slot) = self.worker_mut(session) {
             slot.last_seen = now;
-            slot.cells += 1;
+            let report = &mut slot.report;
+            report.cells += 1;
             match cache {
-                CacheStatus::Hit => slot.hits += 1,
-                CacheStatus::Miss => slot.misses += 1,
-                CacheStatus::Bypass => slot.bypass += 1,
+                CacheStatus::Hit => report.hits += 1,
+                CacheStatus::Miss => report.misses += 1,
+                CacheStatus::Bypass => report.bypass += 1,
             }
-            slot.wall_ms.record((wall_seconds * 1.0e3) as u64);
+            report.wall_ms.record((wall_seconds * 1.0e3) as u64);
         }
         obs.result(
             lease,
@@ -513,7 +502,7 @@ impl FabricState {
         let job = record.job;
         if let Some(slot) = self.worker_mut(session) {
             slot.last_seen = now;
-            slot.nacks += 1;
+            slot.report.nacks += 1;
         }
         // Only a *live* lease's nack acts on the cell: a stale nack
         // races a re-grant that may well succeed.
@@ -639,10 +628,9 @@ impl FabricState {
         }
     }
 
-    /// Tear down into submission-order outcomes. Must only be called
-    /// when [`FabricState::complete`].
-    fn into_outcomes(self) -> (Vec<JobOutcome>, FabricStats) {
-        let stats = self.stats;
+    /// Tear down into the assembled report, outcomes in submission
+    /// order. Must only be called when [`FabricState::complete`].
+    fn into_report(self) -> FabricReport {
         let outcomes = self
             .cells
             .into_iter()
@@ -658,10 +646,18 @@ impl FabricState {
                     cache,
                     wall_seconds,
                 },
-                _ => unreachable!("into_outcomes requires a complete grid"),
+                _ => unreachable!("into_report requires a complete grid"),
             })
             .collect();
-        (outcomes, stats)
+        FabricReport {
+            outcomes,
+            stats: self.stats,
+            workers: self.workers.into_iter().map(|slot| slot.report).collect(),
+            lease_latency_ms: self.lease_latency_ms,
+            cell_wall_ms: self.cell_wall_ms,
+            log: None,
+            trace_json: None,
+        }
     }
 }
 
@@ -752,10 +748,6 @@ pub struct Coordinator {
     observer: FabricObserver,
 }
 
-/// How often blocked socket reads wake to check deadlines and
-/// completion. Trades shutdown latency against wakeup churn.
-const POLL: Duration = Duration::from_millis(50);
-
 impl Coordinator {
     /// A coordinator that will shard `jobs` across connecting workers,
     /// with every observability channel off.
@@ -799,123 +791,74 @@ impl Coordinator {
     pub fn run(&self, listener: TcpListener, server: &Server) -> std::io::Result<FabricReport> {
         let started = Instant::now();
         self.observer.sweep_start(self.jobs.len());
-        listener.set_nonblocking(true)?;
         let complete = AtomicBool::new(false);
-        std::thread::scope(|scope| -> std::io::Result<()> {
-            loop {
-                {
-                    let mut state = self.locked();
-                    state.expire(Instant::now(), &self.options, &self.observer);
-                    if state.complete() {
-                        complete.store(true, Ordering::Relaxed);
-                        return Ok(());
-                    }
-                }
-                match listener.accept() {
-                    Ok((stream, _addr)) => {
-                        let complete = &complete;
-                        scope.spawn(move || {
-                            let _ = self.handle_connection(stream, server, complete);
-                        });
-                    }
-                    Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(15));
-                    }
-                    Err(error) => {
-                        complete.store(true, Ordering::Relaxed);
-                        return Err(error);
-                    }
-                }
-            }
-        })?;
-        let mut state = self.locked();
+        accept_until(
+            listener,
+            &complete,
+            || {
+                let mut state = self.locked();
+                state.expire(Instant::now(), &self.options, &self.observer);
+                state.complete()
+            },
+            |stream| {
+                let _ = self.handle_connection(stream, server, &complete);
+            },
+        )?;
+        let mut state = std::mem::replace(&mut *self.locked(), FabricState::new(0, started));
         state.stats.wall_seconds = started.elapsed().as_secs_f64();
-        let mut drained = std::mem::replace(&mut *state, FabricState::new(0, Instant::now()));
-        drop(state);
-        let workers: Vec<WorkerReport> = drained
-            .workers
-            .drain(..)
-            .enumerate()
-            .map(|(index, slot)| WorkerReport {
-                session: index as u64 + 1,
-                name: slot.name,
-                connected: slot.connected,
-                cells: slot.cells,
-                hits: slot.hits,
-                misses: slot.misses,
-                bypass: slot.bypass,
-                nacks: slot.nacks,
-                wall_ms: slot.wall_ms,
-            })
-            .collect();
-        let lease_latency_ms =
-            std::mem::replace(&mut drained.lease_latency_ms, Log2Histogram::new());
-        let cell_wall_ms = std::mem::replace(&mut drained.cell_wall_ms, Log2Histogram::new());
-        let (outcomes, stats) = drained.into_outcomes();
+        let mut report = state.into_report();
+        let stats = &report.stats;
         self.observer
             .sweep_done(stats.cells - stats.failed, stats.failed);
-        let (log, trace_json) = self.observer.finish();
-        Ok(FabricReport {
-            outcomes,
-            stats,
-            workers,
-            lease_latency_ms,
-            cell_wall_ms,
-            log,
-            trace_json,
-        })
+        (report.log, report.trace_json) = self.observer.finish();
+        Ok(report)
     }
 
-    /// Dispatch one connection by its first line: a fabric `hello`
-    /// starts a worker session, anything else is served as a plain
-    /// single-job protocol stream.
+    /// Dispatch one connection by its first line, read under the serve
+    /// cap: a fabric `hello` widens the connection to the frame cap and
+    /// starts a worker session, a `status` query is answered, and
+    /// anything else is served as a plain single-job protocol stream.
     fn handle_connection(
         &self,
         stream: TcpStream,
         server: &Server,
         complete: &AtomicBool,
     ) -> std::io::Result<()> {
-        stream.set_read_timeout(Some(POLL))?;
-        let mut reader = LineReader::new(stream.try_clone()?, self.options.max_line_bytes);
-        let mut writer = BufWriter::new(stream);
-        let opened = Instant::now();
+        let mut connection = TcpConnection::tcp(stream, SERVE_LINE_BYTES)?;
         let first = loop {
-            match reader.poll_line()? {
-                LineEvent::Line(line) => break line,
-                LineEvent::Idle => {
-                    if complete.load(Ordering::Relaxed)
-                        || opened.elapsed() >= self.options.idle_timeout
-                    {
-                        return Ok(());
-                    }
-                }
-                LineEvent::Eof => return Ok(()),
-                LineEvent::TooLong => {
-                    return self.refuse(&mut writer, "first line exceeds the frame cap")
-                }
+            match connection.recv(complete, Some(self.options.idle_timeout))? {
+                Received::Line(line) if line.trim().is_empty() => {}
+                Received::Line(line) => break line,
+                Received::TooLong => return server.refuse_oversized(&mut connection),
+                Received::Eof | Received::Stopped | Received::IdleTimeout => return Ok(()),
             }
         };
-        match WorkerFrame::parse(&first) {
-            Ok(WorkerFrame::Hello { fabric, worker }) => {
-                self.worker_session(&mut reader, &mut writer, fabric, &worker, complete)
+        match Opening::parse(&first, server.defaults()) {
+            Opening::Hello { fabric, worker } => {
+                connection.set_cap(FABRIC_LINE_BYTES);
+                self.worker_session(&mut connection, fabric, &worker, complete)
             }
-            Ok(WorkerFrame::Status { fabric }) => self.answer_status(&mut writer, fabric),
-            _ => server
-                .serve_guarded(&mut reader, &mut writer, complete, Some(first))
+            Opening::Status { fabric } => self.answer_status(&mut connection, fabric),
+            Opening::Serve(request) => server
+                .serve_guarded(&mut connection, complete, SERVE_IDLE_TIMEOUT, Some(request))
                 .map(|_| ()),
         }
     }
 
+    /// Refuse a peer speaking another fabric protocol version.
+    fn refuse_skew(&self, connection: &mut TcpConnection, fabric: u64) -> std::io::Result<()> {
+        self.refuse(
+            connection,
+            &format!(
+                "fabric protocol {fabric} unsupported (this coordinator speaks {FABRIC_SCHEMA})"
+            ),
+        )
+    }
+
     /// Answer one live status query, then close the connection.
-    fn answer_status(&self, writer: &mut impl Write, fabric: u64) -> std::io::Result<()> {
+    fn answer_status(&self, connection: &mut TcpConnection, fabric: u64) -> std::io::Result<()> {
         if fabric != u64::from(FABRIC_SCHEMA) {
-            return self.refuse(
-                writer,
-                &format!(
-                    "fabric protocol {fabric} unsupported \
-                     (this coordinator speaks {FABRIC_SCHEMA})"
-                ),
-            );
+            return self.refuse_skew(connection, fabric);
         }
         let body = {
             let mut state = self.locked();
@@ -923,11 +866,10 @@ impl Coordinator {
             state.snapshot(Instant::now(), self.observer.elapsed_ms())
         };
         self.observer.status_query();
-        writeln!(writer, "{}", CoordinatorFrame::Status(body).render())?;
-        writer.flush()
+        connection.send(&CoordinatorFrame::Status(body).render())
     }
 
-    fn refuse(&self, writer: &mut impl Write, message: &str) -> std::io::Result<()> {
+    fn refuse(&self, connection: &mut TcpConnection, message: &str) -> std::io::Result<()> {
         self.locked().stats.protocol_errors += 1;
         // Connection-level refusals have no registered session; 0 marks
         // them in the event log.
@@ -935,25 +877,20 @@ impl Coordinator {
         let frame = CoordinatorFrame::Error {
             message: message.to_string(),
         };
-        writeln!(writer, "{}", frame.render())?;
-        writer.flush()
+        connection.send(&frame.render())
     }
 
     /// One worker session, hello through drain. Leases the session
     /// still holds when it ends — for any reason — are revoked.
     fn worker_session(
         &self,
-        reader: &mut LineReader<TcpStream>,
-        writer: &mut BufWriter<TcpStream>,
+        connection: &mut TcpConnection,
         fabric: u64,
         worker: &str,
         complete: &AtomicBool,
     ) -> std::io::Result<()> {
         if fabric != u64::from(FABRIC_SCHEMA) {
-            return self.refuse(
-                writer,
-                &format!("fabric protocol {fabric} unsupported (this coordinator speaks {FABRIC_SCHEMA})"),
-            );
+            return self.refuse_skew(connection, fabric);
         }
         let session = self
             .locked()
@@ -963,9 +900,8 @@ impl Coordinator {
             session,
             heartbeat_ms: self.options.heartbeat.as_millis().max(1) as u64,
         };
-        writeln!(writer, "{}", ack.render())?;
-        writer.flush()?;
-        let outcome = self.worker_loop(reader, writer, session, complete);
+        connection.send(&ack.render())?;
+        let outcome = self.worker_loop(connection, session, complete);
         // Whatever ended the session, its leases go back to the pool.
         {
             let mut state = self.locked();
@@ -978,104 +914,87 @@ impl Coordinator {
 
     fn worker_loop(
         &self,
-        reader: &mut LineReader<TcpStream>,
-        writer: &mut BufWriter<TcpStream>,
+        connection: &mut TcpConnection,
         session: u64,
         complete: &AtomicBool,
     ) -> std::io::Result<()> {
-        let mut last_activity = Instant::now();
         loop {
-            match reader.poll_line()? {
-                LineEvent::Line(line) => {
-                    last_activity = Instant::now();
-                    let frame = match WorkerFrame::parse(&line) {
-                        Ok(frame) => frame,
-                        Err(message) => {
-                            return self.refuse(writer, &format!("bad frame: {message}"));
-                        }
-                    };
-                    match frame {
-                        WorkerFrame::Ready => {
-                            let reply = self.locked().grant(
-                                session,
-                                Instant::now(),
-                                &self.options,
-                                &self.jobs,
-                                &self.observer,
-                            );
-                            let drain = matches!(reply, CoordinatorFrame::Drain);
-                            writeln!(writer, "{}", reply.render())?;
-                            writer.flush()?;
-                            if drain {
-                                return Ok(());
-                            }
-                        }
-                        WorkerFrame::Heartbeat { lease } => {
-                            self.locked().heartbeat(
-                                lease,
-                                session,
-                                Instant::now(),
-                                &self.options,
-                                &self.observer,
-                            );
-                        }
-                        WorkerFrame::Result {
-                            lease,
-                            cache,
-                            wall_seconds,
-                            document,
-                        } => {
-                            let cache =
-                                CacheStatus::from_label(&cache).unwrap_or(CacheStatus::Bypass);
-                            self.locked().result(
-                                lease,
-                                session,
-                                document,
-                                cache,
-                                wall_seconds,
-                                Instant::now(),
-                                &self.observer,
-                            );
-                        }
-                        WorkerFrame::Nack {
-                            lease,
-                            kind,
-                            message,
-                        } => {
-                            self.locked().nack(
-                                lease,
-                                session,
-                                &kind,
-                                &message,
-                                Instant::now(),
-                                &self.options,
-                                &self.observer,
-                            );
-                        }
-                        WorkerFrame::Hello { .. } => {
-                            return self.refuse(writer, "duplicate hello");
-                        }
-                        WorkerFrame::Status { .. } => {
-                            return self.refuse(writer, "status on a worker session");
-                        }
-                    }
+            // Deadline expiry is handled centrally by the accept loop;
+            // this connection only polices its own silence.
+            let line = match connection.recv(complete, Some(self.options.idle_timeout))? {
+                Received::Line(line) => line,
+                Received::Stopped => return connection.send(&CoordinatorFrame::Drain.render()),
+                Received::IdleTimeout => return self.refuse(connection, "idle timeout"),
+                Received::TooLong => return self.refuse(connection, "frame exceeds the line cap"),
+                Received::Eof => return Ok(()),
+            };
+            let frame = match WorkerFrame::parse(&line) {
+                Ok(frame) => frame,
+                Err(message) => {
+                    return self.refuse(connection, &format!("bad frame: {message}"));
                 }
-                LineEvent::Idle => {
-                    if complete.load(Ordering::Relaxed) {
-                        writeln!(writer, "{}", CoordinatorFrame::Drain.render())?;
-                        writer.flush()?;
+            };
+            match frame {
+                WorkerFrame::Ready => {
+                    let reply = self.locked().grant(
+                        session,
+                        Instant::now(),
+                        &self.options,
+                        &self.jobs,
+                        &self.observer,
+                    );
+                    connection.send(&reply.render())?;
+                    if matches!(reply, CoordinatorFrame::Drain) {
                         return Ok(());
                     }
-                    // Deadline expiry is handled centrally by the accept
-                    // loop; this connection only polices its own silence.
-                    if last_activity.elapsed() >= self.options.idle_timeout {
-                        return self.refuse(writer, "idle timeout");
-                    }
                 }
-                LineEvent::TooLong => {
-                    return self.refuse(writer, "frame exceeds the line cap");
+                WorkerFrame::Heartbeat { lease } => {
+                    self.locked().heartbeat(
+                        lease,
+                        session,
+                        Instant::now(),
+                        &self.options,
+                        &self.observer,
+                    );
                 }
-                LineEvent::Eof => return Ok(()),
+                WorkerFrame::Result {
+                    lease,
+                    cache,
+                    wall_seconds,
+                    document,
+                } => {
+                    let cache = CacheStatus::from_label(&cache).unwrap_or(CacheStatus::Bypass);
+                    self.locked().result(
+                        lease,
+                        session,
+                        document,
+                        cache,
+                        wall_seconds,
+                        Instant::now(),
+                        &self.observer,
+                    );
+                }
+                WorkerFrame::Nack {
+                    lease,
+                    kind,
+                    message,
+                } => {
+                    self.locked().nack(
+                        lease,
+                        session,
+                        &kind,
+                        &message,
+                        Instant::now(),
+                        &self.options,
+                        &self.observer,
+                    );
+                }
+                WorkerFrame::Hello { .. } => {
+                    return self.refuse(connection, "duplicate hello");
+                }
+                WorkerFrame::Status { .. } => {
+                    return self.refuse(connection, "status on a worker session");
+                }
             }
         }
     }
@@ -1163,7 +1082,9 @@ mod tests {
             state.grant(1, now, &options, &jobs, &obs),
             CoordinatorFrame::Drain
         ));
-        let (outcomes, stats) = state.into_outcomes();
+        let FabricReport {
+            outcomes, stats, ..
+        } = state.into_report();
         assert_eq!(outcomes.len(), 3);
         assert_eq!(outcomes[0].document.as_deref().unwrap(), "{\"a\":1}");
         assert_eq!(outcomes[2].cache, CacheStatus::Hit);
@@ -1194,7 +1115,9 @@ mod tests {
         assert!(state.complete());
         assert_eq!(state.stats.expired, 3);
         assert_eq!(state.stats.reassigned, 2);
-        let (outcomes, stats) = state.into_outcomes();
+        let FabricReport {
+            outcomes, stats, ..
+        } = state.into_report();
         let error = outcomes[0].document.as_ref().unwrap_err();
         assert_eq!(error.kind(), "fabric");
         assert_eq!(stats.failed, 1);
@@ -1220,7 +1143,7 @@ mod tests {
         // max_retries = 1: the second nack is terminal, kind preserved.
         state.nack(lease, 1, "watchdog", "no commit", later, &options, &obs);
         assert!(state.complete());
-        let (outcomes, _) = state.into_outcomes();
+        let FabricReport { outcomes, .. } = state.into_report();
         let error = outcomes[0].document.as_ref().unwrap_err();
         assert_eq!(error.kind(), "watchdog");
         assert!(error.to_string().contains("2 attempt(s)"), "{error}");
@@ -1272,7 +1195,7 @@ mod tests {
             &obs,
         );
         assert!(state.complete());
-        let (outcomes, _) = state.into_outcomes();
+        let FabricReport { outcomes, .. } = state.into_report();
         assert_eq!(outcomes[1].document.as_deref().unwrap(), "{\"fresh\":1}");
     }
 

@@ -45,20 +45,23 @@ pub fn preset_configs() -> Vec<SimConfig> {
     ]
 }
 
-/// Look up a preset by its report name.
-pub fn preset_by_name(name: &str) -> Option<SimConfig> {
-    preset_configs()
-        .into_iter()
-        .find(|config| config.name == name)
+/// Every configuration a front end accepts *by name*: the sweep presets
+/// plus `big window`, in report order. Fabric leases carry a name plus a
+/// fingerprint, so this list is also what a worker can resolve.
+pub fn named_configs() -> Vec<SimConfig> {
+    let mut configs = preset_configs();
+    configs.push(SimConfig::big_window());
+    configs
 }
 
-/// Every configuration shippable *by name* over the fabric protocol:
-/// the sweep presets plus the CLI's extended set. Fabric leases carry a
-/// name plus a fingerprint, so this list is what a worker can resolve.
+/// Look up a named configuration by its report name, or the paper's
+/// combined design by its `combined_single_port` alias.
 pub fn named_config(name: &str) -> Option<SimConfig> {
-    preset_configs()
+    if name == "combined_single_port" {
+        return Some(SimConfig::combined_single_port());
+    }
+    named_configs()
         .into_iter()
-        .chain([SimConfig::big_window()])
         .find(|config| config.name == name)
 }
 

@@ -25,7 +25,6 @@
 
 use std::collections::HashMap;
 use std::io::{BufWriter, IsTerminal, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -33,10 +32,11 @@ use std::time::{Duration, Instant};
 
 use cpe_core::json::escape;
 use cpe_stats::Log2Histogram;
+use cpe_trace::{chrome_envelope, thread_name_record};
 
 use crate::job::CacheStatus;
 use crate::protocol::{
-    CoordinatorFrame, LineEvent, LineReader, StatusBody, WorkerFrame, DEFAULT_MAX_LINE_BYTES,
+    CoordinatorFrame, StatusBody, TcpConnection, WorkerFrame, FABRIC_LINE_BYTES, NEVER,
 };
 
 /// Default bound on queued-but-unwritten fabric log events. Generous for
@@ -211,12 +211,8 @@ struct OpenSpan {
 }
 
 struct ClosedSpan {
-    session: u64,
-    cell: usize,
-    attempt: u32,
-    label: String,
+    span: OpenSpan,
     cat: String,
-    start_us: u64,
     dur_us: u64,
 }
 
@@ -258,14 +254,11 @@ impl TraceBuilder {
 
     fn close(&mut self, lease: u64, cat: &str, us: u64) {
         if let Some(span) = self.open.remove(&lease) {
+            let dur_us = us.saturating_sub(span.start_us).max(1);
             self.closed.push(ClosedSpan {
-                session: span.session,
-                cell: span.cell,
-                attempt: span.attempt,
-                label: span.label,
+                span,
                 cat: cat.to_string(),
-                start_us: span.start_us,
-                dur_us: us.saturating_sub(span.start_us).max(1),
+                dur_us,
             });
         }
     }
@@ -277,37 +270,30 @@ impl TraceBuilder {
             self.close(lease, "open", now_us);
         }
         self.closed
-            .sort_by_key(|span| (span.session, span.start_us, span.cell));
+            .sort_by_key(|closed| (closed.span.session, closed.span.start_us, closed.span.cell));
         let mut events: Vec<String> = self
             .workers
             .iter()
             .map(|(session, name)| {
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{session},\
-                     \"args\":{{\"name\":\"{} (session {session})\"}}}}",
-                    escape(name)
-                )
+                thread_name_record(*session, &format!("{} (session {session})", escape(name)))
             })
             .collect();
-        for span in &self.closed {
+        for ClosedSpan { span, cat, dur_us } in &self.closed {
             events.push(format!(
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":0,\"tid\":{},\"cname\":\"{}\",\
                  \"args\":{{\"cell\":{},\"attempt\":{}}}}}",
                 escape(&span.label),
-                escape(&span.cat),
+                escape(cat),
                 span.start_us,
-                span.dur_us,
+                dur_us,
                 span.session,
-                span_color(&span.cat),
+                span_color(cat),
                 span.cell,
                 span.attempt
             ));
         }
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
-            events.join(",")
-        )
+        chrome_envelope(&events)
     }
 }
 
@@ -428,7 +414,7 @@ impl SweepProgress {
 
 /// One worker session's contribution to a fabric sweep, reported in the
 /// stderr footer and the `fabric` metrics document.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerReport {
     /// The session id the coordinator assigned.
     pub session: u64,
@@ -487,35 +473,6 @@ impl std::fmt::Display for WorkerReport {
         }
         Ok(())
     }
-}
-
-/// One [`Log2Histogram`] as the JSON shape the metrics documents use
-/// (`count`/`mean`/`max`/percentiles/`buckets`).
-pub(crate) fn log2hist_json(hist: &Log2Histogram) -> String {
-    let opt = |value: Option<u64>| match value {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    };
-    let mean = if hist.mean().is_finite() {
-        format!("{}", hist.mean())
-    } else {
-        "null".to_string()
-    };
-    let buckets: Vec<String> = hist
-        .iter_buckets()
-        .map(|(lo, hi, count)| format!("[{lo},{hi},{count}]"))
-        .collect();
-    format!(
-        "{{\"count\":{},\"mean\":{mean},\"max\":{},\"p50\":{},\"p90\":{},\"p95\":{},\"p99\":{},\
-         \"buckets\":[{}]}}",
-        hist.total(),
-        hist.max_seen(),
-        opt(hist.p50()),
-        opt(hist.p90()),
-        opt(hist.p95()),
-        opt(hist.p99()),
-        buckets.join(",")
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -784,43 +741,15 @@ impl FabricObserver {
 /// A one-line diagnosis for connection failures, a refusal (version
 /// skew), a timeout, or a malformed reply.
 pub fn query_status(addr: &str, fabric: u64, timeout: Duration) -> Result<StatusBody, String> {
-    let stream =
-        TcpStream::connect(addr).map_err(|error| format!("cannot connect to {addr}: {error}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .map_err(|error| format!("cannot set read timeout: {error}"))?;
-    let mut writer = BufWriter::new(
-        stream
-            .try_clone()
-            .map_err(|error| format!("clone failed: {error}"))?,
-    );
-    writeln!(writer, "{}", WorkerFrame::Status { fabric }.render())
-        .and_then(|()| writer.flush())
+    let mut connection = TcpConnection::connect(addr, FABRIC_LINE_BYTES)?;
+    connection
+        .send(&WorkerFrame::Status { fabric }.render())
         .map_err(|error| format!("write failed: {error}"))?;
-    let mut reader = LineReader::new(stream, DEFAULT_MAX_LINE_BYTES);
-    let deadline = Instant::now() + timeout;
-    loop {
-        match reader
-            .poll_line()
-            .map_err(|error| format!("read failed: {error}"))?
-        {
-            LineEvent::Line(line) => {
-                return match CoordinatorFrame::parse(&line)? {
-                    CoordinatorFrame::Status(body) => Ok(body),
-                    CoordinatorFrame::Error { message } => {
-                        Err(format!("coordinator refused: {message}"))
-                    }
-                    other => Err(format!("expected a status frame, got {other:?}")),
-                }
-            }
-            LineEvent::Idle => {
-                if Instant::now() >= deadline {
-                    return Err(format!("status query to {addr} timed out"));
-                }
-            }
-            LineEvent::Eof => return Err("coordinator closed without answering".to_string()),
-            LineEvent::TooLong => return Err("oversized status reply".to_string()),
-        }
+    match CoordinatorFrame::recv(&mut connection, &NEVER, Some(timeout))? {
+        Some(CoordinatorFrame::Status(body)) => Ok(body),
+        Some(CoordinatorFrame::Error { message }) => Err(format!("coordinator refused: {message}")),
+        Some(other) => Err(format!("expected a status frame, got {other:?}")),
+        None => Err(format!("status query to {addr} timed out")),
     }
 }
 
@@ -959,19 +888,5 @@ mod tests {
             line.contains("1 hit(s), 1 miss(es), 0 uncached, 1 failed"),
             "{line}"
         );
-    }
-
-    #[test]
-    fn log2hist_json_is_well_formed() {
-        let mut hist = Log2Histogram::new();
-        for value in [1u64, 2, 3, 100, 1000] {
-            hist.record(value);
-        }
-        let text = log2hist_json(&hist);
-        let parsed = parse(&text).expect(&text);
-        assert_eq!(number_at(&parsed, &["count"]), Some(5.0));
-        assert_eq!(number_at(&parsed, &["max"]), Some(1000.0));
-        let empty = log2hist_json(&Log2Histogram::new());
-        assert!(parse(&empty).is_ok(), "{empty}");
     }
 }

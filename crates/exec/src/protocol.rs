@@ -1,11 +1,11 @@
-//! Wire protocol of the distributed sweep fabric.
+//! Wire protocol and transport of every socket in the crate.
 //!
 //! Everything on the wire is line-delimited JSON, one frame per line,
-//! the same transport `cpe serve` already speaks — which is what lets a
-//! coordinator answer plain single-job requests and fabric workers on
-//! the same listener. Frames are versioned by [`FABRIC_SCHEMA`], carried
-//! in both `hello` and `hello_ack`; a version mismatch is rejected at
-//! the handshake, never discovered mid-sweep.
+//! for `cpe serve` requests and fabric frames alike — which is what lets
+//! a coordinator answer plain single-job requests and fabric workers on
+//! the same listener. Frames are versioned by
+//! [`FABRIC_SCHEMA`], carried in both `hello` and `hello_ack`; a version
+//! mismatch is rejected at the handshake, never discovered mid-sweep.
 //!
 //! Worker → coordinator:
 //!
@@ -37,18 +37,20 @@
 //!  "leased":4,"queued":3,"backoff":0,"workers":[{"session":1,…}]}
 //! ```
 //!
-//! The module also supplies [`LineReader`], the guarded line reader
-//! every socket in the suite uses: it enforces a maximum line length
-//! (a frame that never ends must not grow an unbounded buffer) and
-//! surfaces read timeouts as [`LineEvent::Idle`] while *retaining* any
-//! partial line, so callers can poll for shutdown/expiry conditions
-//! without tearing frames.
+//! Serve requests share the transport: a `Connection` reads lines
+//! under a cap with a stop flag and an idle deadline, and
+//! `accept_until` is the one accept loop. A connection's first line is
+//! read under [`SERVE_LINE_BYTES`]; only a fabric `hello` widens it to
+//! [`FABRIC_LINE_BYTES`].
 
-use std::io::Read;
-use std::time::Duration;
+use std::io::{BufWriter, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use cpe_core::json::escape;
-use cpe_core::{config_json, JsonValue, SimError};
+use cpe_core::{config_json, BackendKind, JsonValue, SimConfig, SimError};
+use cpe_workloads::Scale;
 
 use crate::cache::{canonical_json, fnv1a64};
 use crate::job::{named_config, scale_by_name, scale_name, workload_by_name, Job};
@@ -58,12 +60,27 @@ use crate::render::{bool_member, f64_member, member, parse, render, text_member,
 /// directions.
 pub const FABRIC_SCHEMA: u32 = 1;
 
-/// Default cap on one protocol line. Result frames embed a full schema-stamped
-/// metrics document (tens of KiB); anything near this cap is garbage.
-pub const DEFAULT_MAX_LINE_BYTES: usize = 1024 * 1024;
+/// Cap on one `cpe serve` request line. Requests are a few hundred
+/// bytes; anything near this cap is garbage.
+pub const SERVE_LINE_BYTES: usize = 64 * 1024;
+
+/// Cap on one fabric frame. Result frames embed a full schema-stamped
+/// metrics document (tens of KiB).
+pub const FABRIC_LINE_BYTES: usize = 1024 * 1024;
+
+/// How long a serve connection may stay silent between requests.
+pub(crate) const SERVE_IDLE_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// How often blocked socket reads, accept loops and waits wake to check
+/// stop flags and deadlines. Trades shutdown latency against wakeups.
+pub(crate) const POLL: Duration = Duration::from_millis(50);
 
 /// Default heartbeat cadence the coordinator advertises to workers.
 pub const DEFAULT_HEARTBEAT: Duration = Duration::from_millis(500);
+
+/// A stop flag that never rises, for connections that only the peer or
+/// a deadline ends.
+pub(crate) static NEVER: AtomicBool = AtomicBool::new(false);
 
 // ---------------------------------------------------------------------------
 // Guarded line reading
@@ -147,6 +164,350 @@ impl<R: Read> LineReader<R> {
                 Err(error) if error.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(error) => return Err(error),
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Connections and the accept loop
+// ---------------------------------------------------------------------------
+
+/// What one [`Connection::recv`] call produced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Received {
+    /// One complete line (without its terminator).
+    Line(String),
+    /// The peer closed the stream.
+    Eof,
+    /// A line outgrew the connection's cap; answer an error and close.
+    TooLong,
+    /// The caller's stop flag rose while no line was pending.
+    Stopped,
+    /// No complete line arrived within the idle deadline.
+    IdleTimeout,
+}
+
+/// One line-delimited JSON connection: a capped [`LineReader`] plus a
+/// writer that sends one flushed frame per call.
+pub(crate) struct Connection<R, W> {
+    reader: LineReader<R>,
+    writer: W,
+}
+
+/// A connection over a TCP socket, the shape every fabric and serve
+/// socket takes.
+pub(crate) type TcpConnection = Connection<TcpStream, BufWriter<TcpStream>>;
+
+impl<R: Read, W: Write> Connection<R, W> {
+    /// A connection reading lines of at most `cap` bytes from `reader`.
+    pub(crate) fn new(reader: R, writer: W, cap: usize) -> Connection<R, W> {
+        Connection {
+            reader: LineReader::new(reader, cap),
+            writer,
+        }
+    }
+
+    /// The line cap currently enforced.
+    pub(crate) fn cap(&self) -> usize {
+        self.reader.max
+    }
+
+    /// Change the line cap (a fabric `hello` widens a connection from
+    /// the serve cap to the frame cap).
+    pub(crate) fn set_cap(&mut self, cap: usize) {
+        self.reader.max = cap;
+    }
+
+    /// Wait for the next line. A raised `stop` ends the wait at the next
+    /// [`POLL`], as does `idle` elapsing from the start of this call; a
+    /// line already buffered is always delivered first.
+    ///
+    /// # Errors
+    ///
+    /// On I/O failures other than read timeouts.
+    pub(crate) fn recv(
+        &mut self,
+        stop: &AtomicBool,
+        idle: Option<Duration>,
+    ) -> std::io::Result<Received> {
+        let deadline = idle.map(|idle| Instant::now() + idle);
+        loop {
+            match self.reader.poll_line()? {
+                LineEvent::Line(line) => return Ok(Received::Line(line)),
+                LineEvent::Eof => return Ok(Received::Eof),
+                LineEvent::TooLong => return Ok(Received::TooLong),
+                LineEvent::Idle => {
+                    if stop.load(Ordering::Relaxed) {
+                        return Ok(Received::Stopped);
+                    }
+                    if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                        return Ok(Received::IdleTimeout);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Write one frame and its newline, then flush.
+    ///
+    /// # Errors
+    ///
+    /// On write or flush failure.
+    pub(crate) fn send(&mut self, frame: &str) -> std::io::Result<()> {
+        self.writer.write_all(frame.as_bytes())?;
+        self.writer.write_all(b"\n")?;
+        self.writer.flush()
+    }
+
+    /// Write bytes with no terminator — the chaos harness's torn frame.
+    pub(crate) fn send_torn(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.writer.write_all(bytes)?;
+        self.writer.flush()
+    }
+}
+
+impl TcpConnection {
+    /// Wrap an accepted or connected socket. Reads time out every
+    /// [`POLL`] so [`Connection::recv`] can check its stop flag and
+    /// deadline.
+    ///
+    /// # Errors
+    ///
+    /// When the socket cannot be configured or cloned.
+    pub(crate) fn tcp(stream: TcpStream, cap: usize) -> std::io::Result<TcpConnection> {
+        stream.set_read_timeout(Some(POLL))?;
+        let reader = stream.try_clone()?;
+        Ok(Connection::new(reader, BufWriter::new(stream), cap))
+    }
+
+    /// Connect to `addr` and wrap the socket.
+    ///
+    /// # Errors
+    ///
+    /// A one-line diagnosis naming `addr`.
+    pub(crate) fn connect(addr: &str, cap: usize) -> Result<TcpConnection, String> {
+        TcpStream::connect(addr)
+            .and_then(|stream| Connection::tcp(stream, cap))
+            .map_err(|error| format!("cannot connect to {addr}: {error}"))
+    }
+}
+
+/// Accept connections on `listener` until `stop` rises or `done()`
+/// returns `true`, handling each connection on its own scoped thread.
+/// `stop` is raised when the loop ends, for any reason, so connection
+/// threads wind down at their next poll; the call returns once every
+/// one of them has finished.
+///
+/// # Errors
+///
+/// On listener I/O failure (per-connection failures are the handler's).
+pub(crate) fn accept_until(
+    listener: TcpListener,
+    stop: &AtomicBool,
+    mut done: impl FnMut() -> bool,
+    handle: impl Fn(TcpStream) + Sync,
+) -> std::io::Result<()> {
+    listener.set_nonblocking(true)?;
+    let handle = &handle;
+    std::thread::scope(|scope| {
+        let outcome = loop {
+            if stop.load(Ordering::Relaxed) || done() {
+                break Ok(());
+            }
+            match listener.accept() {
+                Ok((stream, _addr)) => {
+                    scope.spawn(move || handle(stream));
+                }
+                Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(POLL);
+                }
+                Err(error) => break Err(error),
+            }
+        };
+        stop.store(true, Ordering::Relaxed);
+        outcome
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Serve requests
+// ---------------------------------------------------------------------------
+
+/// Defaults a serve request may omit.
+#[derive(Debug, Clone, Copy)]
+pub struct ServeDefaults {
+    /// Scale when the request names none.
+    pub scale: Scale,
+    /// Instruction window when the request names none.
+    pub max_insts: Option<u64>,
+}
+
+impl Default for ServeDefaults {
+    fn default() -> ServeDefaults {
+        ServeDefaults {
+            scale: Scale::Test,
+            max_insts: Some(20_000),
+        }
+    }
+}
+
+/// What one serve line asked for; each variant carries the request's
+/// `id`, rendered, to echo back.
+pub(crate) enum Request {
+    /// Run one job.
+    Run(Box<Job>, Option<String>),
+    /// Report the server counters.
+    Stats(Option<String>),
+    /// Acknowledge and stop.
+    Shutdown(Option<String>),
+}
+
+/// A rejected serve line: the request's `id` (when it had one) and why.
+pub(crate) type Rejection = (Option<String>, String);
+
+/// Apply one override document to a base configuration. Unknown keys are
+/// rejected — a typo must not silently benchmark the wrong machine.
+fn apply_overrides(mut config: SimConfig, overrides: &JsonValue) -> Result<SimConfig, String> {
+    let JsonValue::Object(members) = overrides else {
+        return Err("`overrides` must be an object".to_string());
+    };
+    for (key, _) in members {
+        match key.as_str() {
+            "name"
+            | "ports"
+            | "port_width_bytes"
+            | "load_combining"
+            | "store_buffer_entries"
+            | "store_buffer_combining"
+            | "line_buffer_entries"
+            | "line_buffer_width_bytes"
+            | "issue_width" => {}
+            other => return Err(format!("unknown override `{other}`")),
+        }
+    }
+    if let Some(name) = text_member(overrides, "name")? {
+        config = config.named(name);
+    }
+    if let Some(ports) = u64_member(overrides, "ports")? {
+        config.mem.ports.count = ports as u32;
+    }
+    if let Some(width) = u64_member(overrides, "port_width_bytes")? {
+        config.mem.ports.width_bytes = width;
+    }
+    if let Some(combining) = bool_member(overrides, "load_combining")? {
+        config.mem.ports.load_combining = combining;
+    }
+    if let Some(entries) = u64_member(overrides, "store_buffer_entries")? {
+        config.mem.store_buffer.entries = entries as usize;
+    }
+    if let Some(combining) = bool_member(overrides, "store_buffer_combining")? {
+        config.mem.store_buffer.combining = combining;
+    }
+    if let Some(entries) = u64_member(overrides, "line_buffer_entries")? {
+        config.mem.line_buffers.entries = entries as usize;
+    }
+    if let Some(width) = u64_member(overrides, "line_buffer_width_bytes")? {
+        config.mem.line_buffers.width_bytes = width;
+    }
+    if let Some(width) = u64_member(overrides, "issue_width")? {
+        config = config.with_issue_width(width as u32);
+    }
+    Ok(config)
+}
+
+impl Request {
+    /// Parse one serve line.
+    ///
+    /// # Errors
+    ///
+    /// The [`Rejection`] to answer: malformed JSON, an unknown name, a
+    /// bad override or an invalid configuration.
+    pub(crate) fn parse(line: &str, defaults: &ServeDefaults) -> Result<Request, Rejection> {
+        let request = parse(line).map_err(|error| (None, format!("malformed request: {error}")))?;
+        Request::from_json(&request, defaults)
+    }
+
+    fn from_json(request: &JsonValue, defaults: &ServeDefaults) -> Result<Request, Rejection> {
+        let id = member(request, "id").map(render);
+        let fail = |message: String| (id.clone(), message);
+
+        match text_member(request, "cmd").map_err(&fail)? {
+            Some("stats") => return Ok(Request::Stats(id)),
+            Some("shutdown") => return Ok(Request::Shutdown(id)),
+            Some(other) => return Err(fail(format!("unknown cmd `{other}` (stats, shutdown)"))),
+            None => {}
+        }
+
+        let workload_name = text_member(request, "workload")
+            .map_err(&fail)?
+            .ok_or_else(|| fail("request needs a `workload`".to_string()))?;
+        let workload = workload_by_name(workload_name)
+            .ok_or_else(|| fail(format!("unknown workload `{workload_name}`")))?;
+        let config_name = text_member(request, "config")
+            .map_err(&fail)?
+            .unwrap_or("combined_single_port");
+        let config = named_config(config_name)
+            .ok_or_else(|| fail(format!("unknown config `{config_name}`")))?;
+        let config = match member(request, "overrides") {
+            Some(overrides) => apply_overrides(config, overrides).map_err(&fail)?,
+            None => config,
+        };
+        config.validate().map_err(|error| fail(error.to_string()))?;
+        let scale = match text_member(request, "scale").map_err(&fail)? {
+            None => defaults.scale,
+            Some(name) => {
+                scale_by_name(name).ok_or_else(|| fail(format!("unknown scale `{name}`")))?
+            }
+        };
+        let max_insts = u64_member(request, "max_insts")
+            .map_err(&fail)?
+            .or(defaults.max_insts);
+        Ok(Request::Run(
+            Box::new(Job {
+                config,
+                workload,
+                scale,
+                max_insts,
+                // Served jobs are independent one-offs; they run direct.
+                backend: BackendKind::Direct,
+            }),
+            id,
+        ))
+    }
+}
+
+/// What a connection's first line opens, decided by one parse: a fabric
+/// worker session, a status query, or a stream of serve requests.
+pub(crate) enum Opening {
+    /// A fabric `hello`.
+    Hello {
+        /// The worker's [`FABRIC_SCHEMA`].
+        fabric: u64,
+        /// Display name for logs and stats.
+        worker: String,
+    },
+    /// A `cpe status` query.
+    Status {
+        /// The observer's [`FABRIC_SCHEMA`].
+        fabric: u64,
+    },
+    /// Anything else is the first serve request (or its rejection).
+    Serve(Result<Request, Rejection>),
+}
+
+impl Opening {
+    /// Classify a connection's first line.
+    pub(crate) fn parse(line: &str, defaults: &ServeDefaults) -> Opening {
+        let value = match parse(line) {
+            Ok(value) => value,
+            Err(error) => {
+                return Opening::Serve(Err((None, format!("malformed request: {error}"))))
+            }
+        };
+        match WorkerFrame::from_json(&value) {
+            Ok(WorkerFrame::Hello { fabric, worker }) => Opening::Hello { fabric, worker },
+            Ok(WorkerFrame::Status { fabric }) => Opening::Status { fabric },
+            _ => Opening::Serve(Request::from_json(&value, defaults)),
         }
     }
 }
@@ -363,40 +724,41 @@ impl WorkerFrame {
     /// missing fields — the coordinator treats any of these as a
     /// protocol violation and revokes the connection's leases.
     pub fn parse(line: &str) -> Result<WorkerFrame, String> {
-        let value = parse(line)?;
-        let frame_type = text_member(&value, "type")?.ok_or("frame needs a `type`")?;
+        WorkerFrame::from_json(&parse(line)?)
+    }
+
+    fn from_json(value: &JsonValue) -> Result<WorkerFrame, String> {
+        let frame_type = text_member(value, "type")?.ok_or("frame needs a `type`")?;
         let lease_of = |value: &JsonValue| -> Result<u64, String> {
             u64_member(value, "lease")?.ok_or_else(|| "frame needs a `lease`".to_string())
         };
         match frame_type {
             "hello" => Ok(WorkerFrame::Hello {
-                fabric: u64_member(&value, "fabric")?.unwrap_or(0),
-                worker: text_member(&value, "worker")?
+                fabric: u64_member(value, "fabric")?.unwrap_or(0),
+                worker: text_member(value, "worker")?
                     .unwrap_or("worker")
                     .to_string(),
             }),
             "ready" => Ok(WorkerFrame::Ready),
             "heartbeat" => Ok(WorkerFrame::Heartbeat {
-                lease: lease_of(&value)?,
+                lease: lease_of(value)?,
             }),
             "result" => {
-                let document = member(&value, "result").ok_or("result frame needs `result`")?;
+                let document = member(value, "result").ok_or("result frame needs `result`")?;
                 Ok(WorkerFrame::Result {
-                    lease: lease_of(&value)?,
-                    cache: text_member(&value, "cache")?
-                        .unwrap_or("bypass")
-                        .to_string(),
-                    wall_seconds: f64_member(&value, "wall_ms")?.unwrap_or(0.0) / 1.0e3,
+                    lease: lease_of(value)?,
+                    cache: text_member(value, "cache")?.unwrap_or("bypass").to_string(),
+                    wall_seconds: f64_member(value, "wall_ms")?.unwrap_or(0.0) / 1.0e3,
                     document: render(document),
                 })
             }
             "nack" => Ok(WorkerFrame::Nack {
-                lease: lease_of(&value)?,
-                kind: text_member(&value, "kind")?.unwrap_or("fabric").to_string(),
-                message: text_member(&value, "error")?.unwrap_or("").to_string(),
+                lease: lease_of(value)?,
+                kind: text_member(value, "kind")?.unwrap_or("fabric").to_string(),
+                message: text_member(value, "error")?.unwrap_or("").to_string(),
             }),
             "status" => Ok(WorkerFrame::Status {
-                fabric: u64_member(&value, "fabric")?.unwrap_or(0),
+                fabric: u64_member(value, "fabric")?.unwrap_or(0),
             }),
             other => Err(format!("unknown worker frame type `{other}`")),
         }
@@ -597,6 +959,31 @@ impl CoordinatorFrame {
         }
     }
 
+    /// Receive one coordinator frame on a client connection: `None`
+    /// when `stop` rose or `idle` passed first.
+    ///
+    /// # Errors
+    ///
+    /// A one-line diagnosis for a read failure, a closed connection, an
+    /// overlong line or a malformed frame.
+    pub(crate) fn recv<R: Read, W: Write>(
+        connection: &mut Connection<R, W>,
+        stop: &AtomicBool,
+        idle: Option<Duration>,
+    ) -> Result<Option<CoordinatorFrame>, String> {
+        match connection
+            .recv(stop, idle)
+            .map_err(|error| format!("read failed: {error}"))?
+        {
+            Received::Line(line) => CoordinatorFrame::parse(&line)
+                .map(Some)
+                .map_err(|error| format!("coordinator sent a bad frame: {error}")),
+            Received::Stopped | Received::IdleTimeout => Ok(None),
+            Received::Eof => Err("coordinator closed the connection".to_string()),
+            Received::TooLong => Err("coordinator frame exceeds the line cap".to_string()),
+        }
+    }
+
     /// Parse one coordinator line.
     ///
     /// # Errors
@@ -628,13 +1015,6 @@ impl CoordinatorFrame {
             other => Err(format!("unknown coordinator frame type `{other}`")),
         }
     }
-}
-
-/// Whether a first protocol line is a fabric handshake — the dispatch
-/// test that lets one listener serve both fabric workers and plain
-/// single-job requests.
-pub fn is_fabric_hello(line: &str) -> bool {
-    matches!(WorkerFrame::parse(line), Ok(WorkerFrame::Hello { .. }))
 }
 
 #[cfg(test)]
@@ -798,11 +1178,6 @@ mod tests {
         assert!(WorkerFrame::parse("{\"type\":\"explode\"}").is_err());
         assert!(WorkerFrame::parse("{\"type\":\"heartbeat\"}").is_err());
         assert!(CoordinatorFrame::parse("{\"type\":\"lease\",\"lease\":1}").is_err());
-        assert!(is_fabric_hello(
-            "{\"fabric\":1,\"type\":\"hello\",\"worker\":\"w\"}"
-        ));
-        assert!(!is_fabric_hello("{\"workload\":\"sort\"}"));
-        assert!(!is_fabric_hello("{\"cmd\":\"stats\"}"));
     }
 
     #[test]

@@ -19,26 +19,19 @@
 //! TCP listener (`--listen addr:port`); see `docs/EXECUTION.md` for a
 //! worked `nc` example.
 
-use std::io::{BufRead, BufWriter, Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cpe_core::json::escape;
-use cpe_core::{JsonValue, SimConfig};
-use cpe_workloads::Scale;
 
 use crate::cache::ResultCache;
-use crate::job::{preset_by_name, run_job, scale_by_name, workload_by_name, CacheStatus, Job};
-use crate::protocol::{LineEvent, LineReader};
-use crate::render::{bool_member, member, parse, render, text_member, u64_member};
-
-/// What one protocol line asked for.
-enum Request {
-    Run(Box<Job>, Option<String>),
-    Stats(Option<String>),
-    Shutdown(Option<String>),
-}
+use crate::job::{run_job, CacheStatus};
+use crate::protocol::{
+    accept_until, Connection, Received, Rejection, Request, ServeDefaults, TcpConnection, NEVER,
+    SERVE_IDLE_TIMEOUT, SERVE_LINE_BYTES,
+};
 
 /// A reply line, plus whether the server should stop afterwards.
 pub struct Reply {
@@ -48,10 +41,6 @@ pub struct Reply {
     pub shutdown: bool,
 }
 
-fn id_of(request: &JsonValue) -> Option<String> {
-    member(request, "id").map(render)
-}
-
 fn id_field(id: &Option<String>) -> String {
     match id {
         Some(id) => format!("\"id\":{id},"),
@@ -59,160 +48,11 @@ fn id_field(id: &Option<String>) -> String {
     }
 }
 
-/// Apply one override document to a base configuration. Unknown keys are
-/// rejected — a typo must not silently benchmark the wrong machine.
-fn apply_overrides(mut config: SimConfig, overrides: &JsonValue) -> Result<SimConfig, String> {
-    let JsonValue::Object(members) = overrides else {
-        return Err("`overrides` must be an object".to_string());
-    };
-    for (key, _) in members {
-        match key.as_str() {
-            "name"
-            | "ports"
-            | "port_width_bytes"
-            | "load_combining"
-            | "store_buffer_entries"
-            | "store_buffer_combining"
-            | "line_buffer_entries"
-            | "line_buffer_width_bytes"
-            | "issue_width" => {}
-            other => return Err(format!("unknown override `{other}`")),
-        }
-    }
-    if let Some(name) = text_member(overrides, "name")? {
-        config = config.named(name);
-    }
-    if let Some(ports) = u64_member(overrides, "ports")? {
-        config.mem.ports.count = ports as u32;
-    }
-    if let Some(width) = u64_member(overrides, "port_width_bytes")? {
-        config.mem.ports.width_bytes = width;
-    }
-    if let Some(combining) = bool_member(overrides, "load_combining")? {
-        config.mem.ports.load_combining = combining;
-    }
-    if let Some(entries) = u64_member(overrides, "store_buffer_entries")? {
-        config.mem.store_buffer.entries = entries as usize;
-    }
-    if let Some(combining) = bool_member(overrides, "store_buffer_combining")? {
-        config.mem.store_buffer.combining = combining;
-    }
-    if let Some(entries) = u64_member(overrides, "line_buffer_entries")? {
-        config.mem.line_buffers.entries = entries as usize;
-    }
-    if let Some(width) = u64_member(overrides, "line_buffer_width_bytes")? {
-        config.mem.line_buffers.width_bytes = width;
-    }
-    if let Some(width) = u64_member(overrides, "issue_width")? {
-        config = config.with_issue_width(width as u32);
-    }
-    Ok(config)
-}
-
-fn parse_request(
-    line: &str,
-    defaults: &ServeDefaults,
-) -> Result<Request, (Option<String>, String)> {
-    let request = parse(line).map_err(|error| (None, format!("malformed request: {error}")))?;
-    let id = id_of(&request);
-    let fail = |message: String| (id.clone(), message);
-
-    match text_member(&request, "cmd").map_err(&fail)? {
-        Some("stats") => return Ok(Request::Stats(id)),
-        Some("shutdown") => return Ok(Request::Shutdown(id)),
-        Some(other) => return Err(fail(format!("unknown cmd `{other}` (stats, shutdown)"))),
-        None => {}
-    }
-
-    let workload_name = text_member(&request, "workload")
-        .map_err(&fail)?
-        .ok_or_else(|| fail("request needs a `workload`".to_string()))?;
-    let workload = workload_by_name(workload_name)
-        .ok_or_else(|| fail(format!("unknown workload `{workload_name}`")))?;
-    let config_name = text_member(&request, "config")
-        .map_err(&fail)?
-        .unwrap_or("combined_single_port");
-    let config = if config_name == "combined_single_port" {
-        SimConfig::combined_single_port()
-    } else {
-        preset_by_name(config_name)
-            .ok_or_else(|| fail(format!("unknown config `{config_name}`")))?
-    };
-    let config = match member(&request, "overrides") {
-        Some(overrides) => apply_overrides(config, overrides).map_err(&fail)?,
-        None => config,
-    };
-    config.validate().map_err(|error| fail(error.to_string()))?;
-    let scale = match text_member(&request, "scale").map_err(&fail)? {
-        None => defaults.scale,
-        Some(name) => scale_by_name(name).ok_or_else(|| fail(format!("unknown scale `{name}`")))?,
-    };
-    let max_insts = u64_member(&request, "max_insts")
-        .map_err(&fail)?
-        .or(defaults.max_insts);
-    Ok(Request::Run(
-        Box::new(Job {
-            config,
-            workload,
-            scale,
-            max_insts,
-            // Served jobs are independent one-offs; they run direct.
-            backend: cpe_core::BackendKind::Direct,
-        }),
-        id,
-    ))
-}
-
-/// Protocol defaults a request may omit.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeDefaults {
-    /// Scale when the request names none.
-    pub scale: Scale,
-    /// Instruction window when the request names none.
-    pub max_insts: Option<u64>,
-}
-
-impl Default for ServeDefaults {
-    fn default() -> ServeDefaults {
-        ServeDefaults {
-            scale: Scale::Test,
-            max_insts: Some(20_000),
-        }
-    }
-}
-
-/// Per-connection guards: how long a silent connection may stay open
-/// and how long one request line may grow. Breaching either answers a
-/// final `{"error":…}` frame and closes the connection — a stuck or
-/// malicious client must not pin a connection thread or grow an
-/// unbounded buffer.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeLimits {
-    /// Close a connection with no complete request for this long.
-    pub idle_timeout: Duration,
-    /// Cap on one request line.
-    pub max_line_bytes: usize,
-}
-
-impl Default for ServeLimits {
-    fn default() -> ServeLimits {
-        ServeLimits {
-            idle_timeout: Duration::from_secs(120),
-            max_line_bytes: 64 * 1024,
-        }
-    }
-}
-
-/// How often blocked connection reads wake to check the shutdown flag
-/// and the idle clock.
-const POLL: Duration = Duration::from_millis(100);
-
 /// The shared server state: the cache plus lifetime counters. One
 /// instance serves any number of connections concurrently.
 pub struct Server {
     cache: Option<ResultCache>,
     defaults: ServeDefaults,
-    limits: ServeLimits,
     jobs: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -227,7 +67,6 @@ impl Server {
         Server {
             cache,
             defaults,
-            limits: ServeLimits::default(),
             jobs: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -236,10 +75,9 @@ impl Server {
         }
     }
 
-    /// Replace the per-connection guards.
-    pub fn with_limits(mut self, limits: ServeLimits) -> Server {
-        self.limits = limits;
-        self
+    /// The defaults requests may omit.
+    pub(crate) fn defaults(&self) -> &ServeDefaults {
+        &self.defaults
     }
 
     /// Jobs served so far.
@@ -275,7 +113,12 @@ impl Server {
 
     /// Handle one protocol line.
     pub fn handle_line(&self, line: &str) -> Reply {
-        match parse_request(line, &self.defaults) {
+        self.answer(Request::parse(line, &self.defaults))
+    }
+
+    /// Answer one parsed (or rejected) request.
+    fn answer(&self, request: Result<Request, Rejection>) -> Reply {
+        match request {
             Err((id, message)) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 Reply {
@@ -333,28 +176,27 @@ impl Server {
         }
     }
 
-    /// Serve one request stream (stdin, a socket, a test buffer) to
-    /// completion: EOF or a shutdown request.
+    /// Serve one request stream (stdin, a test buffer) to completion:
+    /// EOF or a shutdown request.
     ///
     /// Returns `true` when the stream asked for shutdown.
     ///
     /// # Errors
     ///
     /// On I/O failure reading requests or writing responses.
-    pub fn serve_stream(
-        &self,
-        reader: impl BufRead,
-        mut writer: impl Write,
-    ) -> std::io::Result<bool> {
-        let mut reader = LineReader::new(reader, self.limits.max_line_bytes);
-        let never = AtomicBool::new(false);
-        self.serve_guarded(&mut reader, &mut writer, &never, None)
+    pub fn serve_stream(&self, reader: impl BufRead, writer: impl Write) -> std::io::Result<bool> {
+        let mut connection = Connection::new(reader, writer, SERVE_LINE_BYTES);
+        self.serve_guarded(&mut connection, &NEVER, SERVE_IDLE_TIMEOUT, None)
     }
 
     /// Serve request lines until EOF, a shutdown request, a guard
-    /// breach, or `stop` — the engine behind both [`Server::serve_tcp`]
-    /// connections and single-job traffic on a fabric coordinator's
-    /// listener (which supplies the already-dispatched first line).
+    /// breach, or `stop` — the engine behind [`Server::serve_stream`],
+    /// [`Server::serve_tcp`] connections and single-job traffic on a
+    /// fabric coordinator's listener (which supplies the already-parsed
+    /// first request). A line over the connection's cap, or `idle` with
+    /// no request, answers a final `{"error":…}` frame and closes — a
+    /// stuck or malicious client must not pin a connection thread or
+    /// grow an unbounded buffer.
     ///
     /// When `stop` is raised externally, the connection finishes the
     /// request it is handling — in-flight jobs drain, they are not torn —
@@ -367,65 +209,59 @@ impl Server {
     /// # Errors
     ///
     /// On I/O failure reading requests or writing responses.
-    pub fn serve_guarded<R: Read>(
+    pub(crate) fn serve_guarded<R: Read, W: Write>(
         &self,
-        reader: &mut LineReader<R>,
-        writer: &mut impl Write,
+        connection: &mut Connection<R, W>,
         stop: &AtomicBool,
-        first: Option<String>,
+        idle: Duration,
+        first: Option<Result<Request, Rejection>>,
     ) -> std::io::Result<bool> {
-        let answer = |line: &str, writer: &mut dyn Write| -> std::io::Result<bool> {
-            if line.trim().is_empty() {
-                return Ok(false);
-            }
-            let reply = self.handle_line(line);
-            writer.write_all(reply.line.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-            Ok(reply.shutdown)
-        };
-        if let Some(line) = first {
-            if answer(&line, writer)? {
+        let mut next = first;
+        loop {
+            let request = match next.take() {
+                Some(request) => request,
+                None => match connection.recv(stop, Some(idle))? {
+                    Received::Line(line) if line.trim().is_empty() => continue,
+                    Received::Line(line) => Request::parse(&line, &self.defaults),
+                    Received::TooLong => {
+                        self.refuse_oversized(connection)?;
+                        return Ok(false);
+                    }
+                    Received::IdleTimeout => {
+                        self.errors.fetch_add(1, Ordering::Relaxed);
+                        connection.send(&format!(
+                            "{{\"error\":\"idle timeout after {:.0}s, closing\"}}",
+                            idle.as_secs_f64()
+                        ))?;
+                        return Ok(false);
+                    }
+                    Received::Stopped | Received::Eof => return Ok(false),
+                },
+            };
+            let reply = self.answer(request);
+            connection.send(&reply.line)?;
+            if reply.shutdown {
                 return Ok(true);
             }
         }
-        let mut last_activity = Instant::now();
-        loop {
-            match reader.poll_line()? {
-                LineEvent::Line(line) => {
-                    last_activity = Instant::now();
-                    if answer(&line, writer)? {
-                        return Ok(true);
-                    }
-                }
-                LineEvent::Idle => {
-                    if stop.load(Ordering::Relaxed) {
-                        return Ok(false);
-                    }
-                    if last_activity.elapsed() >= self.limits.idle_timeout {
-                        self.errors.fetch_add(1, Ordering::Relaxed);
-                        writeln!(
-                            writer,
-                            "{{\"error\":\"idle timeout after {:.0}s, closing\"}}",
-                            self.limits.idle_timeout.as_secs_f64()
-                        )?;
-                        writer.flush()?;
-                        return Ok(false);
-                    }
-                }
-                LineEvent::TooLong => {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
-                    writeln!(
-                        writer,
-                        "{{\"error\":\"request exceeds {} bytes, closing\"}}",
-                        self.limits.max_line_bytes
-                    )?;
-                    writer.flush()?;
-                    return Ok(false);
-                }
-                LineEvent::Eof => return Ok(false),
-            }
-        }
+    }
+
+    /// Answer a request line that outgrew the connection's cap, naming
+    /// the cap actually enforced. The connection must close afterwards:
+    /// the reader cannot resynchronize.
+    ///
+    /// # Errors
+    ///
+    /// On write failure.
+    pub(crate) fn refuse_oversized<R: Read, W: Write>(
+        &self,
+        connection: &mut Connection<R, W>,
+    ) -> std::io::Result<()> {
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        connection.send(&format!(
+            "{{\"error\":\"request exceeds {} bytes, closing\"}}",
+            connection.cap()
+        ))
     }
 
     /// Accept TCP connections until one of them requests shutdown. Each
@@ -441,40 +277,30 @@ impl Server {
     /// On listener I/O failure (per-connection failures only end that
     /// connection).
     pub fn serve_tcp(&self, listener: TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
         let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| loop {
-            if stop.load(Ordering::Relaxed) {
-                return Ok(());
-            }
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    let stop = &stop;
-                    scope.spawn(move || {
-                        if let Ok(true) = self.serve_connection(stream, stop) {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                    });
+        accept_until(
+            listener,
+            &stop,
+            || false,
+            |stream| {
+                if let Ok(true) = self.serve_connection(stream, &stop) {
+                    stop.store(true, Ordering::Relaxed);
                 }
-                Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(error) => return Err(error),
-            }
-        })
+            },
+        )
     }
 
     fn serve_connection(&self, stream: TcpStream, stop: &AtomicBool) -> std::io::Result<bool> {
-        stream.set_read_timeout(Some(POLL))?;
-        let mut reader = LineReader::new(stream.try_clone()?, self.limits.max_line_bytes);
-        let mut writer = BufWriter::new(stream);
-        self.serve_guarded(&mut reader, &mut writer, stop, None)
+        let mut connection = TcpConnection::tcp(stream, SERVE_LINE_BYTES)?;
+        self.serve_guarded(&mut connection, stop, SERVE_IDLE_TIMEOUT, None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::parse;
+    use cpe_workloads::Scale;
 
     fn server() -> Server {
         Server::new(
@@ -528,6 +354,24 @@ mod tests {
     }
 
     #[test]
+    fn every_named_config_and_the_combined_alias_are_servable() {
+        let server = server();
+        let names = crate::job::named_configs()
+            .into_iter()
+            .map(|config| config.name);
+        for name in names.chain(["combined_single_port".to_string()]) {
+            let reply = server.handle_line(&format!(
+                "{{\"workload\":\"sort\",\"config\":\"{name}\",\"max_insts\":500}}"
+            ));
+            assert!(
+                reply.line.contains("\"result\":{"),
+                "{name}: {}",
+                reply.line
+            );
+        }
+    }
+
+    #[test]
     fn client_supplied_names_come_back_in_one_valid_frame() {
         // Quote, backslash and newline: an unescaped echo of any of them
         // breaks the frame or splits it in two.
@@ -571,13 +415,13 @@ mod tests {
 
     #[test]
     fn oversized_request_lines_answer_an_error_and_close() {
-        let server = Server::new(None, ServeDefaults::default()).with_limits(ServeLimits {
-            max_line_bytes: 64,
-            ..ServeLimits::default()
-        });
+        let server = Server::new(None, ServeDefaults::default());
         let input = format!("{{\"workload\":\"{}\"}}\n", "x".repeat(200));
         let mut output = Vec::new();
-        let shutdown = server.serve_stream(input.as_bytes(), &mut output).unwrap();
+        let mut connection = Connection::new(input.as_bytes(), &mut output, 64);
+        let shutdown = server
+            .serve_guarded(&mut connection, &NEVER, SERVE_IDLE_TIMEOUT, None)
+            .unwrap();
         assert!(!shutdown);
         let text = String::from_utf8(output).unwrap();
         assert!(text.contains("exceeds 64 bytes"), "{text}");
@@ -594,15 +438,11 @@ mod tests {
                 Err(std::io::ErrorKind::WouldBlock.into())
             }
         }
-        let server = Server::new(None, ServeDefaults::default()).with_limits(ServeLimits {
-            idle_timeout: Duration::from_millis(20),
-            ..ServeLimits::default()
-        });
-        let mut reader = LineReader::new(Silent, 1024);
+        let server = Server::new(None, ServeDefaults::default());
         let mut output = Vec::new();
-        let never = AtomicBool::new(false);
+        let mut connection = Connection::new(Silent, &mut output, 1024);
         let shutdown = server
-            .serve_guarded(&mut reader, &mut output, &never, None)
+            .serve_guarded(&mut connection, &NEVER, Duration::from_millis(20), None)
             .unwrap();
         assert!(!shutdown);
         let text = String::from_utf8(output).unwrap();
@@ -618,11 +458,11 @@ mod tests {
             }
         }
         let server = Server::new(None, ServeDefaults::default());
-        let mut reader = LineReader::new(Silent, 1024);
         let mut output = Vec::new();
+        let mut connection = Connection::new(Silent, &mut output, 1024);
         let stop = AtomicBool::new(true);
         let shutdown = server
-            .serve_guarded(&mut reader, &mut output, &stop, None)
+            .serve_guarded(&mut connection, &stop, SERVE_IDLE_TIMEOUT, None)
             .unwrap();
         assert!(!shutdown);
         assert!(output.is_empty(), "drained quietly, no error frame");

@@ -9,8 +9,6 @@
 //! mid-frame, mid-handshake — and the only consequence is that its
 //! lease expires and the cell runs elsewhere.
 
-use std::io::{BufWriter, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -18,7 +16,7 @@ use std::time::{Duration, Instant};
 use crate::cache::ResultCache;
 use crate::job::run_job;
 use crate::protocol::{
-    CoordinatorFrame, LineEvent, LineReader, WorkerFrame, DEFAULT_MAX_LINE_BYTES, FABRIC_SCHEMA,
+    CoordinatorFrame, TcpConnection, WorkerFrame, FABRIC_LINE_BYTES, FABRIC_SCHEMA, POLL,
 };
 
 /// Worker-side knobs.
@@ -26,15 +24,12 @@ use crate::protocol::{
 pub struct WorkerOptions {
     /// Display name sent in the handshake.
     pub name: String,
-    /// Per-line byte cap on the coordinator connection.
-    pub max_line_bytes: usize,
 }
 
 impl Default for WorkerOptions {
     fn default() -> WorkerOptions {
         WorkerOptions {
             name: format!("worker-{}", std::process::id()),
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
         }
     }
 }
@@ -62,41 +57,9 @@ impl std::fmt::Display for WorkerSummary {
     }
 }
 
-/// How often blocked reads and wait-sleeps wake to check `stop`.
-const POLL: Duration = Duration::from_millis(50);
-
-/// One received frame, or why there is none.
-enum Received {
-    Frame(CoordinatorFrame),
-    /// `stop` was raised while waiting.
-    Stopped,
-}
-
-fn next_frame(reader: &mut LineReader<TcpStream>, stop: &AtomicBool) -> Result<Received, String> {
-    loop {
-        match reader
-            .poll_line()
-            .map_err(|e| format!("read failed: {e}"))?
-        {
-            LineEvent::Line(line) => {
-                return CoordinatorFrame::parse(&line)
-                    .map(Received::Frame)
-                    .map_err(|e| format!("coordinator sent a bad frame: {e}"));
-            }
-            LineEvent::Idle => {
-                if stop.load(Ordering::Relaxed) {
-                    return Ok(Received::Stopped);
-                }
-            }
-            LineEvent::Eof => return Err("coordinator closed the connection".to_string()),
-            LineEvent::TooLong => return Err("coordinator frame exceeds the line cap".to_string()),
-        }
-    }
-}
-
-fn send(writer: &mut BufWriter<TcpStream>, frame: &WorkerFrame) -> Result<(), String> {
-    writeln!(writer, "{}", frame.render())
-        .and_then(|()| writer.flush())
+fn send(connection: &mut TcpConnection, frame: &WorkerFrame) -> Result<(), String> {
+    connection
+        .send(&frame.render())
         .map_err(|e| format!("write failed: {e}"))
 }
 
@@ -125,28 +88,18 @@ pub fn run_worker(
     stop: &AtomicBool,
 ) -> Result<WorkerSummary, String> {
     let started = Instant::now();
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(POLL))
-        .map_err(|e| format!("cannot set read timeout: {e}"))?;
-    let mut reader = LineReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| format!("clone failed: {e}"))?,
-        options.max_line_bytes,
-    );
-    let mut writer = BufWriter::new(stream);
+    let mut connection = TcpConnection::connect(addr, FABRIC_LINE_BYTES)?;
 
     send(
-        &mut writer,
+        &mut connection,
         &WorkerFrame::Hello {
             fabric: u64::from(FABRIC_SCHEMA),
             worker: options.name.clone(),
         },
     )?;
-    let heartbeat = match next_frame(&mut reader, stop)? {
-        Received::Stopped => return Ok(WorkerSummary::default()),
-        Received::Frame(CoordinatorFrame::HelloAck {
+    let heartbeat = match CoordinatorFrame::recv(&mut connection, stop, None)? {
+        None => return Ok(WorkerSummary::default()),
+        Some(CoordinatorFrame::HelloAck {
             fabric,
             heartbeat_ms,
             ..
@@ -158,10 +111,10 @@ pub fn run_worker(
             }
             Duration::from_millis(heartbeat_ms.max(1))
         }
-        Received::Frame(CoordinatorFrame::Error { message }) => {
+        Some(CoordinatorFrame::Error { message }) => {
             return Err(format!("coordinator refused the handshake: {message}"))
         }
-        Received::Frame(other) => return Err(format!("expected hello_ack, got {other:?}")),
+        Some(other) => return Err(format!("expected hello_ack, got {other:?}")),
     };
 
     let mut summary = WorkerSummary::default();
@@ -169,27 +122,24 @@ pub fn run_worker(
         if stop.load(Ordering::Relaxed) {
             break;
         }
-        send(&mut writer, &WorkerFrame::Ready)?;
-        match next_frame(&mut reader, stop)? {
-            Received::Stopped => break,
-            Received::Frame(CoordinatorFrame::Drain) => break,
-            Received::Frame(CoordinatorFrame::Wait { millis }) => wait(millis, stop),
-            Received::Frame(CoordinatorFrame::Error { message }) => {
+        send(&mut connection, &WorkerFrame::Ready)?;
+        match CoordinatorFrame::recv(&mut connection, stop, None)? {
+            None | Some(CoordinatorFrame::Drain) => break,
+            Some(CoordinatorFrame::Wait { millis }) => wait(millis, stop),
+            Some(CoordinatorFrame::Error { message }) => {
                 return Err(format!("coordinator closed the session: {message}"))
             }
-            Received::Frame(CoordinatorFrame::HelloAck { .. }) => {
+            Some(CoordinatorFrame::HelloAck { .. }) => {
                 return Err("unexpected duplicate hello_ack".to_string())
             }
-            Received::Frame(CoordinatorFrame::Status(_)) => {
-                return Err("unexpected status frame".to_string())
-            }
-            Received::Frame(CoordinatorFrame::Lease { lease, job: spec }) => {
+            Some(CoordinatorFrame::Status(_)) => return Err("unexpected status frame".to_string()),
+            Some(CoordinatorFrame::Lease { lease, job: spec }) => {
                 let job = match spec.resolve() {
                     Ok(job) => job,
                     Err(error) => {
                         summary.nacks += 1;
                         send(
-                            &mut writer,
+                            &mut connection,
                             &WorkerFrame::Nack {
                                 lease,
                                 kind: error.kind().to_string(),
@@ -213,7 +163,7 @@ pub fn run_worker(
                         match done_rx.recv_timeout(heartbeat) {
                             Ok(outcome) => return Ok(outcome),
                             Err(mpsc::RecvTimeoutError::Timeout) => {
-                                send(&mut writer, &WorkerFrame::Heartbeat { lease })?;
+                                send(&mut connection, &WorkerFrame::Heartbeat { lease })?;
                             }
                             Err(mpsc::RecvTimeoutError::Disconnected) => {
                                 unreachable!("compute thread always sends")
@@ -228,7 +178,7 @@ pub fn run_worker(
                             summary.hits += 1;
                         }
                         send(
-                            &mut writer,
+                            &mut connection,
                             &WorkerFrame::Result {
                                 lease,
                                 cache: outcome.cache.label().to_string(),
@@ -240,7 +190,7 @@ pub fn run_worker(
                     Err(error) => {
                         summary.nacks += 1;
                         send(
-                            &mut writer,
+                            &mut connection,
                             &WorkerFrame::Nack {
                                 lease,
                                 kind: error.kind().to_string(),

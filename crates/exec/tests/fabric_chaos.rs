@@ -153,6 +153,65 @@ fn single_job_requests_are_served_on_the_coordinator_listener_mid_sweep() {
     assert_eq!(server.jobs_served(), 1, "the single-job request ran");
 }
 
+/// Serve traffic on a coordinator's port is read under the serve cap,
+/// not the fabric frame cap, and the refusal names the cap enforced.
+#[test]
+fn oversized_serve_lines_on_the_coordinator_hit_the_serve_cap() {
+    use cpe_exec::{Coordinator, ServeDefaults, Server};
+    use std::io::{BufRead, BufReader, Write};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
+
+    let plan = tiny_plan();
+    let serial = plan.run(1, None).expect("serial runs");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = Server::new(None, ServeDefaults::default());
+    let coordinator = Coordinator::new(plan.jobs(), test_options());
+    let stop = AtomicBool::new(false);
+
+    let (report, (reply, after)) = std::thread::scope(|scope| {
+        let client = scope.spawn(|| {
+            // A ~100 KiB request: under the 1 MiB frame cap, over the
+            // 64 KiB serve cap. Sent before any worker exists, so the
+            // sweep is still running when it lands.
+            let stream = std::net::TcpStream::connect(&addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("read timeout");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut stream = stream;
+            let pad = "x".repeat(100 * 1024);
+            // The coordinator may close before reading all of it.
+            let _ = writeln!(stream, "{{\"workload\":\"sort\",\"pad\":\"{pad}\"}}");
+            let mut reply = String::new();
+            let _ = reader.read_line(&mut reply);
+            // After the refusal the connection is closed (EOF or reset).
+            let mut after = String::new();
+            let closed = matches!(reader.read_line(&mut after), Ok(0) | Err(_));
+            // Then a healthy worker drains the sweep, whatever happened.
+            let _ = cpe_exec::run_worker(&addr, None, &cpe_exec::WorkerOptions::default(), &stop);
+            (reply, (!closed || !after.is_empty()).then_some(after))
+        });
+        let report = coordinator.run(listener, &server).expect("sweep completes");
+        (report, client.join().expect("client thread"))
+    });
+
+    assert_eq!(
+        reply.trim_end(),
+        "{\"error\":\"request exceeds 65536 bytes, closing\"}"
+    );
+    assert_eq!(after, None, "the connection closes after the refusal");
+    assert_eq!(server.jobs_served(), 0, "the padded job never ran");
+    let results =
+        cpe_exec::SweepResults::assemble(plan, report.outcomes, 1, 0, report.stats.wall_seconds);
+    assert_eq!(
+        results.aggregate_json(),
+        serial.aggregate_json(),
+        "an oversized serve line must not perturb the sweep"
+    );
+}
+
 #[test]
 fn seeded_fuzz_cases_hold_the_byte_identity_promise() {
     // A handful of seeds here; `cpe fuzz-fabric --cases N` sweeps more.

@@ -35,4 +35,7 @@ pub use pipeview::{
     build_records, konata_text, validate_konata, InstRecord, KonataSummary, KONATA_HEADER,
 };
 pub use ring::{RingStats, Tracer};
-pub use sink::{chrome_trace_json, jsonl_record, ChromeTraceSink, JsonlSink, NullSink, TraceSink};
+pub use sink::{
+    chrome_envelope, chrome_trace_json, jsonl_record, thread_name_record, ChromeTraceSink,
+    JsonlSink, NullSink, TraceSink,
+};

@@ -77,24 +77,32 @@ impl TraceSink for NullSink {
 /// [`EventKind::lane`].
 const LANE_NAMES: [&str; 6] = ["pipeline", "port", "portless", "store", "mshr", "diag"];
 
+/// Wrap rendered `trace_event` records in the Chrome JSON object
+/// envelope — the one envelope every Chrome trace in the workspace uses.
+pub fn chrome_envelope(events: &[String]) -> String {
+    format!(
+        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
+        events.join(",")
+    )
+}
+
+/// A `thread_name` metadata record naming lane `tid` in the timeline.
+/// `name` is written verbatim, so it must already be JSON-escaped.
+pub fn thread_name_record(tid: u64, name: &str) -> String {
+    format!(
+        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
+         \"args\":{{\"name\":\"{name}\"}}}}"
+    )
+}
+
 /// Render events as a complete Chrome `trace_event` JSON document.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    for (lane, name) in LANE_NAMES.iter().enumerate() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{lane},\
-             \"args\":{{\"name\":\"{name}\"}}}}"
-        ));
-    }
-    for event in events {
-        out.push(',');
-        out.push_str(&format!(
+    let lanes = LANE_NAMES
+        .iter()
+        .enumerate()
+        .map(|(lane, name)| thread_name_record(lane as u64, name));
+    let slices = events.iter().map(|event| {
+        format!(
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":1,\
              \"pid\":0,\"tid\":{},\"args\":{{\"addr\":\"{:#x}\",\"arg\":{}}}}}",
             event.kind.name(),
@@ -103,10 +111,9 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             event.kind.lane(),
             event.addr,
             event.arg
-        ));
-    }
-    out.push_str("]}");
-    out
+        )
+    });
+    chrome_envelope(&lanes.chain(slices).collect::<Vec<_>>())
 }
 
 /// Render one event as a single-line JSON object.

@@ -221,6 +221,23 @@ coordinator_pid=$!
 sleep 0.5
 "$cpe_bin" status --connect "127.0.0.1:$fabric_port" > "$scratch/status.txt"
 grep -q "cell(s) done" "$scratch/status.txt"
+# Serve traffic on the coordinator's port is read under the 64 KiB serve
+# request cap, not the 1 MiB fabric frame cap: an oversized line gets
+# the refusal naming the cap enforced, and the sweep carries on.
+pad="$(head -c 70000 /dev/zero | tr '\0' x)"
+exec 3<>"/dev/tcp/127.0.0.1/$fabric_port"
+printf '{"workload":"sort","pad":"%s"}\n' "$pad" >&3 2>/dev/null || true
+refusal=""
+IFS= read -r -t 10 refusal <&3 || true
+exec 3<&- 3>&-
+case "$refusal" in
+    *'"request exceeds 65536 bytes, closing"'*) ;;
+    *)
+        echo "oversized serve line on the coordinator port was not refused: $refusal" >&2
+        kill "$coordinator_pid" 2>/dev/null || true
+        exit 1
+        ;;
+esac
 "$cpe_bin" worker --connect "127.0.0.1:$fabric_port" --no-cache \
     --name check-victim 2>/dev/null &
 victim_pid=$!

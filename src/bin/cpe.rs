@@ -78,9 +78,10 @@
 use std::process::ExitCode;
 
 use cpe::exec::{
-    bench_parallel, chaos, query_status, run_worker, Coordinator, EventLog, FabricObserver,
-    FabricOptions, ResultCache, ServeDefaults, Server, SweepPlan, SweepProgress, SweepResults,
-    WorkerOptions, DEFAULT_CACHE_DIR, DEFAULT_EVENT_CAPACITY, FABRIC_SCHEMA,
+    chaos, named_config, named_configs, query_status, run_worker, scale_by_name, workload_by_name,
+    Coordinator, EventLog, FabricObserver, FabricOptions, ResultCache, ServeDefaults, Server,
+    SweepPlan, SweepProgress, SweepResults, WorkerOptions, DEFAULT_CACHE_DIR,
+    DEFAULT_EVENT_CAPACITY, FABRIC_SCHEMA,
 };
 use cpe::isa::replay::{parse_recorded, write_recorded, RecordedTrace, ReplayError, REPLAY_MAGIC};
 use cpe::isa::{asm::assemble, Emulator, Program};
@@ -92,27 +93,9 @@ use cpe::{
     SimConfig, Simulator, RECORD_HEADROOM,
 };
 
-fn all_configs() -> Vec<SimConfig> {
-    vec![
-        SimConfig::naive_single_port(),
-        SimConfig::single_port(),
-        SimConfig::dual_port(),
-        SimConfig::quad_port(),
-        SimConfig::ideal_ports(),
-        SimConfig::combined_single_port(),
-        SimConfig::big_window(),
-    ]
-}
-
-fn config_by_name(name: &str) -> Option<SimConfig> {
-    all_configs().into_iter().find(|config| config.name == name)
-}
-
-fn workload_by_name(name: &str) -> Option<Workload> {
-    Workload::EXTENDED
-        .iter()
-        .copied()
-        .find(|workload| workload.name() == name)
+/// Resolve a configuration name (see `cpe configs`) or diagnose it.
+fn config_named(name: &str) -> Result<SimConfig, String> {
+    named_config(name).ok_or_else(|| format!("unknown config `{name}` (see `cpe configs`)"))
 }
 
 fn write_file(path: &str, contents: &str) -> Result<(), String> {
@@ -196,12 +179,7 @@ fn cmd_trace(path: &str, count: usize) -> Result<(), String> {
 }
 
 fn resolve_config(config_name: Option<String>) -> Result<SimConfig, String> {
-    let name = config_name.unwrap_or_else(|| "combined_single_port".to_string());
-    match name.as_str() {
-        "combined_single_port" => Ok(SimConfig::combined_single_port()),
-        other => config_by_name(other)
-            .ok_or_else(|| format!("unknown config `{other}` (see `cpe configs`)")),
-    }
+    config_named(config_name.as_deref().unwrap_or("combined_single_port"))
 }
 
 fn print_summary(summary: &cpe::RunSummary) {
@@ -254,12 +232,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         .ok_or_else(|| format!("profile needs --workload NAME\n\n{}", usage()))?;
     let workload = workload_by_name(&workload_name)
         .ok_or_else(|| format!("unknown workload `{workload_name}` (see `cpe workloads`)"))?;
-    let scale = match parse_flag(args, "--scale").as_deref() {
-        None | Some("test") => Scale::Test,
-        Some("small") => Scale::Small,
-        Some("full") => Scale::Full,
-        Some(other) => return Err(format!("unknown scale `{other}` (test, small, full)")),
-    };
+    let scale = parse_scale(args)?;
     let config = resolve_config(parse_flag(args, "--config"))?;
     let max = parse_number(args, "--max")?;
     let defaults = ProfileOptions::default();
@@ -317,7 +290,7 @@ fn cmd_compare(path: &str, max: Option<u64>, metrics_json: Option<String>) -> Re
     let program = load_program(path)?;
     let mut table = Table::new(["config", "IPC", "cycles", "port util %", "portless loads %"]);
     let mut profiles: Vec<(SimConfig, ProfiledRun)> = Vec::new();
-    for config in all_configs() {
+    for config in named_configs() {
         let name = config.name.clone();
         let sim = Simulator::new(config);
         // The profiled and plain paths produce identical summaries; the
@@ -382,14 +355,6 @@ fn positionals<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a String> 
     out
 }
 
-fn named_config(name: &str) -> Result<SimConfig, String> {
-    match name {
-        "combined_single_port" => Ok(SimConfig::combined_single_port()),
-        other => config_by_name(other)
-            .ok_or_else(|| format!("unknown config `{other}` (see `cpe configs`)")),
-    }
-}
-
 /// `cpe explain A B`: run both configurations on the same workload and
 /// rank the per-cause CPI deltas. The CPI stacks conserve commit slots,
 /// so the table accounts for the whole performance gap — on a port-bound
@@ -402,8 +367,8 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             usage()
         ));
     };
-    let a_config = named_config(a_name)?;
-    let b_config = named_config(b_name)?;
+    let a_config = config_named(a_name)?;
+    let b_config = config_named(b_name)?;
     let workload_name = parse_flag(args, "--workload").unwrap_or_else(|| "compress".to_string());
     let workload = workload_by_name(&workload_name)
         .ok_or_else(|| format!("unknown workload `{workload_name}` (see `cpe workloads`)"))?;
@@ -574,11 +539,7 @@ fn cmd_replay(path: &str, config_name: Option<String>, max: Option<u64>) -> Resu
 }
 
 fn cmd_fuzz_trace(config_name: Option<String>, cases: u64, seed: u64) -> Result<(), String> {
-    let config = match config_name.as_deref() {
-        None | Some("combined_single_port") => SimConfig::combined_single_port(),
-        Some(other) => config_by_name(other)
-            .ok_or_else(|| format!("unknown config `{other}` (see `cpe configs`)"))?,
-    };
+    let config = resolve_config(config_name)?;
     println!("config: {config}");
     println!("seed: {seed:#x}");
     let report = faultinject::fuzz_traces(&config, cases, seed);
@@ -599,12 +560,8 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let max = parse_number(args, "--max")?.unwrap_or(20_000);
     let out = parse_flag(args, "--out").unwrap_or_else(|| format!("BENCH_{name}.json"));
     let jobs: usize = parse_number(args, "--jobs")?.unwrap_or(1);
-    let report = if jobs == 1 {
-        BenchReport::run(&name, &config, max)
-    } else {
-        bench_parallel(&name, &config, max, jobs)
-    }
-    .map_err(|error| format!("bench: {error}"))?;
+    let report =
+        BenchReport::run(&name, &config, max, jobs).map_err(|error| format!("bench: {error}"))?;
     println!("{report}");
     write_file(&out, &report.to_json())?;
     println!("wrote {out}");
@@ -634,12 +591,8 @@ fn open_cache(args: &[String]) -> Option<ResultCache> {
 }
 
 fn parse_scale(args: &[String]) -> Result<Scale, String> {
-    match parse_flag(args, "--scale").as_deref() {
-        None | Some("test") => Ok(Scale::Test),
-        Some("small") => Ok(Scale::Small),
-        Some("full") => Ok(Scale::Full),
-        Some(other) => Err(format!("unknown scale `{other}` (test, small, full)")),
-    }
+    let name = parse_flag(args, "--scale").unwrap_or_else(|| "test".to_string());
+    scale_by_name(&name).ok_or_else(|| format!("unknown scale `{name}` (test, small, full)"))
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
@@ -648,10 +601,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let max = Some(parse_number(args, "--max")?.unwrap_or(20_000));
     let mut plan = SweepPlan::standard(scale, max);
     if let Some(text) = parse_flag(args, "--configs") {
-        plan.configs = parse_names(&text, "config", |name| match name {
-            "combined_single_port" => Some(SimConfig::combined_single_port()),
-            other => config_by_name(other),
-        })?;
+        plan.configs = parse_names(&text, "config", named_config)?;
     }
     if let Some(text) = parse_flag(args, "--workloads") {
         plan.workloads = parse_names(&text, "workload", workload_by_name)?;
@@ -1086,7 +1036,7 @@ fn cmd_workloads() {
 
 fn cmd_configs() {
     let mut table = Table::new(["name", "summary"]);
-    for config in all_configs() {
+    for config in named_configs() {
         table.row([config.name.clone(), config.to_string()]);
     }
     println!("{table}");
