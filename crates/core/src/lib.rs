@@ -65,7 +65,9 @@ pub use error::{ConfigError, SimError};
 pub use experiment::{Experiment, ResultRow};
 pub use json::{config_json, profile_json, summary_json, METRICS_SCHEMA};
 pub use metrics::RunSummary;
-pub use observe::{EpochMetrics, MetricsSeries, ProfileOptions, ProfiledRun, SelfProfile};
+pub use observe::{
+    EpochMetrics, MetricsSeries, ProfileOptions, ProfiledRun, SelfProfile, DEFAULT_RING_CAPACITY,
+};
 pub use report::{detailed_report, explain_report};
 pub use simulator::Simulator;
 pub use validate::validate_cpi_stacks;

@@ -22,14 +22,19 @@ use crate::error::SimError;
 use crate::metrics::RunSummary;
 use crate::simulator::Simulator;
 
+/// The event-ring capacity of the commands that read the events
+/// (`cpe profile`, `cpe pipeview`) when no `--ring` is given.
+pub const DEFAULT_RING_CAPACITY: usize = 65_536;
+
 /// Knobs for a profiled run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileOptions {
     /// Cycles per metrics epoch (0 is clamped to 1).
     pub interval: u64,
     /// Trace ring capacity in events; the ring retains the newest
-    /// `ring_capacity` events and counts what it drops. Ignored when the
-    /// `trace` feature is off.
+    /// `ring_capacity` events and counts what it drops. 0 (the default)
+    /// attaches no ring, so the run captures nothing and pays nothing for
+    /// the emission sites. Ignored when the `trace` feature is off.
     pub ring_capacity: usize,
 }
 
@@ -37,7 +42,7 @@ impl Default for ProfileOptions {
     fn default() -> ProfileOptions {
         ProfileOptions {
             interval: 1_000,
-            ring_capacity: 65_536,
+            ring_capacity: 0,
         }
     }
 }
@@ -230,9 +235,10 @@ pub struct SelfProfile {
     pub insts: u64,
     /// Simulated cycles per host second.
     pub cycles_per_sec: f64,
-    /// Whether event capture was compiled in and attached.
+    /// Whether a ring was attached: capture compiled in and a nonzero
+    /// `ring_capacity` asked for.
     pub capture_enabled: bool,
-    /// Ring-buffer accounting (`None` when capture is off).
+    /// Ring-buffer accounting (`None` when no ring was attached).
     pub ring: Option<RingStats>,
 }
 
@@ -301,7 +307,10 @@ impl Simulator {
         let interval = options.interval.max(1);
         let mem = MemSystem::new(self.config().mem);
         let mut core = Core::new(self.config().cpu, mem, trace);
-        let handle = TraceHandle::attached(options.ring_capacity);
+        let handle = match options.ring_capacity {
+            0 => TraceHandle::off(),
+            capacity => TraceHandle::attached(capacity),
+        };
         core.set_trace(handle.clone());
         // Epoch snapshots fire on multiples of the interval; bound the
         // core's cycle-skipping so it lands on every one of them.
@@ -346,7 +355,7 @@ impl Simulator {
             } else {
                 0.0
             },
-            capture_enabled: TraceHandle::CAPTURE,
+            capture_enabled: handle.is_active(),
             ring,
         };
         Ok(ProfiledRun {
@@ -364,6 +373,10 @@ mod tests {
     use crate::config::SimConfig;
 
     fn profile(interval: u64) -> ProfiledRun {
+        profile_with_ring(interval, 0)
+    }
+
+    fn profile_with_ring(interval: u64, ring_capacity: usize) -> ProfiledRun {
         Simulator::new(SimConfig::combined_single_port())
             .try_profile(
                 Workload::Compress,
@@ -371,7 +384,7 @@ mod tests {
                 Some(10_000),
                 ProfileOptions {
                     interval,
-                    ..ProfileOptions::default()
+                    ring_capacity,
                 },
             )
             .expect("profiled run completes")
@@ -480,7 +493,9 @@ mod tests {
         assert!(run.self_profile.wall_seconds >= 0.0);
         assert_eq!(run.self_profile.cycles, run.summary.cycles);
         assert_eq!(run.self_profile.insts, run.summary.insts);
-        assert_eq!(run.self_profile.capture_enabled, TraceHandle::CAPTURE);
+        // The default attaches no ring, whatever the build.
+        assert!(!run.self_profile.capture_enabled);
+        assert!(run.self_profile.ring.is_none() && run.events.is_empty());
         let line = run.self_profile.one_liner();
         assert!(line.contains("sim cycles/sec"), "{line}");
     }
@@ -488,7 +503,8 @@ mod tests {
     #[cfg(feature = "trace")]
     #[test]
     fn capture_collects_events_and_ring_stats() {
-        let run = profile(1_000);
+        let run = profile_with_ring(1_000, DEFAULT_RING_CAPACITY);
+        assert!(run.self_profile.capture_enabled);
         assert!(!run.events.is_empty());
         let ring = run.self_profile.ring.expect("capture is on");
         assert!(ring.emitted > 0);

@@ -732,10 +732,10 @@ impl<B: ExecBackend> Core<B> {
     /// Same decision as the backwards window walk, answered from the
     /// store-address index: the conservative pre-check is an age-range
     /// probe of the unresolved-store set, and the youngest older
-    /// overlapping store comes from the chunk index (highest sequence
-    /// number = first hit of the backwards walk). Stores examined earlier
-    /// this cycle have already resolved in both structures, so
-    /// within-cycle ordering matches the scan exactly.
+    /// overlapping store comes from a walk of the in-flight stores from
+    /// the young end (the first hit of the backwards walk). Stores
+    /// examined earlier this cycle have already resolved in both
+    /// structures, so within-cycle ordering matches the scan exactly.
     fn gate_load_indexed(&self, load_idx: usize, seq: u64, now: Cycle) -> LoadGate {
         let policy = self.config.disambiguation;
         if policy == Disambiguation::None {
@@ -798,8 +798,7 @@ impl<B: ExecBackend> Core<B> {
             if op.is_store() {
                 self.lsq.retire_store();
                 self.stats.stores.inc();
-                self.sched
-                    .retire_store(entry.seq, entry.mem_range().expect("stores have addresses"));
+                self.sched.retire_store(entry.seq);
             }
             // In the event-driven path a committed instruction has issued,
             // which already removed it from the candidate set; only the
@@ -1860,6 +1859,41 @@ mod tests {
     }
 
     #[test]
+    fn in_flight_store_list_never_exceeds_the_store_queue() {
+        let src = r#"
+            .data
+            buf: .space 2048
+            .text
+            main:
+                la   t0, buf
+                li   t1, 64
+            fill:
+                sd   t1, 0(t0)
+                sd   t1, 8(t0)
+                sd   t1, 16(t0)
+                sd   t1, 24(t0)
+                addi t0, t0, 32
+                addi t1, t1, -1
+                bnez t1, fill
+                halt
+        "#;
+        let mut cfg = CpuConfig::default();
+        cfg.store_queue = 4;
+        let program = assemble(src).expect("assembles");
+        let mut core = Core::new(
+            cfg,
+            MemSystem::new(MemConfig::default()),
+            Emulator::new(program),
+        );
+        let mut peak = 0;
+        while core.try_step().expect("no watchdog trip") {
+            peak = peak.max(core.sched.stores_in_flight());
+        }
+        assert_eq!(core.sched.stores_in_flight(), 0, "every store retired");
+        assert_eq!(peak, 4, "a store-bound loop fills the queue, never more");
+    }
+
+    #[test]
     fn commit_width_bounds_per_cycle_commits() {
         let result = run_src(SUM_LOOP, CpuConfig::default(), MemConfig::default());
         assert!(result.cpu.commits_per_cycle.max_seen() <= 4);
@@ -2162,7 +2196,7 @@ mod oracle_props {
     /// A random instruction: ALU traffic for dependency chains, a rare
     /// long-latency divide to stretch the event queue, and loads/stores
     /// of every width packed into 64 bytes so partial overlaps (the
-    /// store-index chunk walk) are common.
+    /// store-index range check) are common.
     pub(super) fn arb_inst() -> impl Strategy<Value = GenInst> {
         let reg = 0u8..POOL.len() as u8;
         prop_oneof![

@@ -15,10 +15,10 @@
 //! * a **completion event queue** — each issued instruction schedules one
 //!   wakeup at its `ready_at` cycle, at which point its waiters (recorded
 //!   on the producer's ROB entry) are re-evaluated;
-//! * a **store-address index** — in-flight stores bucketed by 8-byte
-//!   address chunk, plus the set of stores whose effective address is
-//!   still unknown, so load/store disambiguation is a point query instead
-//!   of a backwards walk over the window.
+//! * a **store-address index** — the in-flight stores in age order
+//!   with their byte ranges, plus the set of stores whose effective
+//!   address is still unknown, so load/store disambiguation walks at most
+//!   the store queue instead of the whole window.
 //!
 //! The invariant throughout: the candidate set *over-approximates* the
 //! instructions the broadcast scan would have acted on, and every entry
@@ -30,47 +30,11 @@
 //! only the host work changes.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::BuildHasherDefault;
+use std::collections::{BinaryHeap, VecDeque};
 
 use cpe_mem::Cycle;
 
 use crate::lsq::ranges_overlap;
-
-/// log2 of the store-index chunk width. Chunks are 8 bytes — the widest
-/// access — so any byte overlap between two accesses implies they share
-/// at least one chunk, which makes the index complete: a chunk query can
-/// over-report (same chunk, disjoint bytes — filtered by an exact range
-/// check) but never miss an overlap.
-const CHUNK_SHIFT: u64 = 3;
-
-/// Multiplicative hasher for chunk numbers: one Fibonacci multiply per
-/// lookup on the disambiguation fast path, where the default SipHash
-/// would dominate the query cost.
-#[derive(Debug, Clone, Default)]
-struct ChunkHasher(u64);
-
-impl std::hash::Hasher for ChunkHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 keys (unused by the chunk map).
-        for &byte in bytes {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// The stores indexed under one address chunk: `(seq, byte range)`.
-type ChunkStores = Vec<(u64, (u64, u64))>;
-/// Chunk number → the in-flight stores touching that chunk.
-type ChunkMap = HashMap<u64, ChunkStores, BuildHasherDefault<ChunkHasher>>;
 
 /// The scheduler state riding alongside the reorder buffer.
 ///
@@ -92,17 +56,14 @@ pub(crate) struct Scheduler {
     cand_count: u32,
     /// Pending completion wakeups as `(ready_at, producer seq)`.
     events: BinaryHeap<Reverse<(Cycle, u64)>>,
-    /// In-flight stores by address chunk: `(seq, byte range)` per entry.
-    store_chunks: ChunkMap,
+    /// In-flight stores as `(seq, byte range)`, oldest first. Dispatch
+    /// appends and commit (which is in order) pops the front, so the
+    /// list never outgrows the store queue.
+    stores: VecDeque<(u64, (u64, u64))>,
     /// In-flight stores whose effective address is not yet known, in
     /// dispatch (= age) order, so the conservative gate's "any
     /// unresolved store older than this load?" is a front probe.
     unresolved_stores: Vec<u64>,
-}
-
-fn chunks(range: (u64, u64)) -> std::ops::RangeInclusive<u64> {
-    debug_assert!(range.1 > range.0, "memory accesses cover at least a byte");
-    (range.0 >> CHUNK_SHIFT)..=((range.1 - 1) >> CHUNK_SHIFT)
 }
 
 impl Scheduler {
@@ -114,7 +75,7 @@ impl Scheduler {
             cand_mask: capacity - 1,
             cand_count: 0,
             events: BinaryHeap::new(),
-            store_chunks: HashMap::default(),
+            stores: VecDeque::new(),
             unresolved_stores: Vec::new(),
         }
     }
@@ -193,15 +154,13 @@ impl Scheduler {
 
     // --- store-address index ----------------------------------------------
 
-    /// Track a dispatched store: index its (oracle) byte range by chunk
-    /// and mark its address unresolved until address generation fires.
+    /// Track a dispatched store (the youngest in flight): record its
+    /// (oracle) byte range and mark its address unresolved until address
+    /// generation fires.
     pub(crate) fn add_store(&mut self, seq: u64, range: (u64, u64)) {
-        for chunk in chunks(range) {
-            self.store_chunks
-                .entry(chunk)
-                .or_default()
-                .push((seq, range));
-        }
+        debug_assert!(range.1 > range.0, "memory accesses cover at least a byte");
+        debug_assert!(self.stores.back().is_none_or(|&(s, _)| s < seq));
+        self.stores.push_back((seq, range));
         debug_assert!(self.unresolved_stores.last().is_none_or(|&s| s < seq));
         self.unresolved_stores.push(seq);
     }
@@ -213,16 +172,11 @@ impl Scheduler {
         }
     }
 
-    /// Remove a committing store from the index. Emptied chunk buckets are
-    /// deliberately kept: workloads hammer the same chunks, and retaining
-    /// the bucket (and its `Vec` capacity) avoids a tree-node and
-    /// allocation churn cycle on every store commit.
-    pub(crate) fn retire_store(&mut self, seq: u64, range: (u64, u64)) {
-        for chunk in chunks(range) {
-            if let Some(stores) = self.store_chunks.get_mut(&chunk) {
-                stores.retain(|&(s, _)| s != seq);
-            }
-        }
+    /// Remove a committing store from the index. Stores commit in age
+    /// order, so it is always the oldest in flight.
+    pub(crate) fn retire_store(&mut self, seq: u64) {
+        let oldest = self.stores.pop_front();
+        debug_assert_eq!(oldest.map(|(s, _)| s), Some(seq), "stores commit in order");
         self.resolve_store(seq);
     }
 
@@ -242,17 +196,17 @@ impl Scheduler {
         load_seq: u64,
         load_range: (u64, u64),
     ) -> Option<u64> {
-        let mut youngest: Option<u64> = None;
-        for chunk in chunks(load_range) {
-            if let Some(stores) = self.store_chunks.get(&chunk) {
-                for &(seq, range) in stores {
-                    if seq < load_seq && ranges_overlap(range, load_range) {
-                        youngest = Some(youngest.map_or(seq, |y| y.max(seq)));
-                    }
-                }
-            }
-        }
-        youngest
+        self.stores
+            .iter()
+            .rev()
+            .find(|&&(seq, range)| seq < load_seq && ranges_overlap(range, load_range))
+            .map(|&(seq, _)| seq)
+    }
+
+    /// Stores currently in flight (dispatched, not yet committed).
+    #[cfg(test)]
+    pub(crate) fn stores_in_flight(&self) -> usize {
+        self.stores.len()
     }
 
     /// Drop any bookkeeping for a committed instruction. The event-driven
@@ -341,20 +295,26 @@ mod tests {
             s.youngest_overlapping_store_before(2, (0x104, 0x108)),
             Some(1)
         );
-        // Same chunk, disjoint bytes: the exact range check filters it.
+        // Adjacent but disjoint bytes do not overlap: the younger store 3
+        // ends where the load begins, so the older full-word store wins.
         assert_eq!(
             s.youngest_overlapping_store_before(4, (0x106, 0x108)),
             Some(1)
         );
         assert_eq!(s.youngest_overlapping_store_before(6, (0x300, 0x308)), None);
-        s.retire_store(1, (0x100, 0x108));
+        s.retire_store(1);
         assert_eq!(s.youngest_overlapping_store_before(2, (0x104, 0x108)), None);
+        assert_eq!(
+            s.youngest_overlapping_store_before(4, (0x104, 0x108)),
+            Some(3)
+        );
     }
 
     #[test]
     fn unaligned_ranges_index_across_chunk_boundaries() {
         let mut s = Scheduler::new(8);
-        // Bytes [0x106, 0x10a) straddle chunks 0x20 and 0x21.
+        // Bytes [0x106, 0x10a) straddle an 8-byte boundary; a load on
+        // either side of it overlaps.
         s.add_store(1, (0x106, 0x10a));
         assert_eq!(
             s.youngest_overlapping_store_before(9, (0x108, 0x110)),
@@ -364,8 +324,34 @@ mod tests {
             s.youngest_overlapping_store_before(9, (0x100, 0x107)),
             Some(1)
         );
-        s.retire_store(1, (0x106, 0x10a));
+        assert_eq!(s.youngest_overlapping_store_before(9, (0x10a, 0x110)), None);
+        s.retire_store(1);
         assert_eq!(s.youngest_overlapping_store_before(9, (0x108, 0x110)), None);
+    }
+
+    #[test]
+    fn stores_retire_from_the_old_end() {
+        let mut s = Scheduler::new(8);
+        for seq in [2, 5, 7] {
+            s.add_store(seq, (0x100, 0x108));
+        }
+        assert_eq!(s.stores_in_flight(), 3);
+        assert_eq!(
+            s.youngest_overlapping_store_before(9, (0x100, 0x104)),
+            Some(7)
+        );
+        assert_eq!(
+            s.youngest_overlapping_store_before(6, (0x100, 0x104)),
+            Some(5)
+        );
+        s.retire_store(2);
+        s.retire_store(5);
+        assert_eq!(s.stores_in_flight(), 1);
+        assert_eq!(s.youngest_overlapping_store_before(6, (0x100, 0x104)), None);
+        assert_eq!(
+            s.youngest_overlapping_store_before(8, (0x100, 0x104)),
+            Some(7)
+        );
     }
 
     #[test]

@@ -265,9 +265,8 @@ pub fn execute_jobs_observed(
 
 /// [`execute_jobs_observed`] with an optional shared recording store:
 /// replay-backend cells pull their workload's recording from it instead
-/// of re-running the functional emulator per cell. The sweep layer
-/// pre-populates the store before scheduling (see
-/// `SweepPlan::run_with_progress`).
+/// of re-running the functional emulator per cell. The first cell that
+/// needs a recording makes it; cells served from the cache never ask.
 pub fn execute_jobs_traced(
     jobs: &[Job],
     workers: usize,

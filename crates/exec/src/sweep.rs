@@ -35,9 +35,9 @@ pub struct SweepPlan {
     /// Committed-instruction window for every cell.
     pub max_insts: Option<u64>,
     /// Execution backend for every cell. With [`BackendKind::Replay`],
-    /// each distinct `(workload, scale, max_insts)` tuple is recorded
-    /// exactly once *before* any cell is scheduled, and every cell
-    /// replays the shared recording.
+    /// each distinct `(workload, scale, max_insts)` tuple is recorded at
+    /// most once, by the first cell that needs it, and every cell that
+    /// misses the result cache replays the shared recording.
     pub backend: BackendKind,
 }
 
@@ -130,17 +130,10 @@ impl SweepPlan {
         }
         let started = Instant::now();
         let jobs = self.jobs();
-        // Record-once happens here, before any cell is scheduled: a
-        // replay sweep's functional cost is one recording per distinct
-        // (workload, scale, max_insts) tuple, never one per cell.
-        let traces = match self.backend {
-            BackendKind::Direct => None,
-            BackendKind::Replay => {
-                let store = TraceStore::new();
-                store.record_all(&jobs);
-                Some(store)
-            }
-        };
+        // One store for the whole grid: a replay sweep's functional cost
+        // is one recording per distinct (workload, scale, max_insts)
+        // tuple that some cell computes, made by the first such cell.
+        let traces = (self.backend == BackendKind::Replay).then(TraceStore::new);
         let (outcomes, scheduler) =
             execute_jobs_traced(&jobs, workers, cache, progress, traces.as_ref());
         if let Some(progress) = progress {
@@ -155,6 +148,7 @@ impl SweepPlan {
         );
         if let Some(traces) = &traces {
             let (recorded, reused) = traces.counts();
+            results.stats.replay = true;
             results.stats.traces_recorded = recorded;
             results.stats.traces_reused = reused;
         }
@@ -181,9 +175,13 @@ pub struct SweepStats {
     pub workers: usize,
     /// Work-stealing migrations between workers.
     pub steals: u64,
+    /// Whether the cells ran on the replay backend; the footer then
+    /// reports the trace counts even when every cell hit the cache.
+    pub replay: bool,
     /// Recordings made by the replay backend (zero on a direct sweep).
     pub traces_recorded: u64,
-    /// Cells that replayed an existing recording.
+    /// Cells that replayed a shared recording, the recording cell
+    /// included.
     pub traces_reused: u64,
 }
 
@@ -215,7 +213,7 @@ impl fmt::Display for SweepStats {
             self.failed,
             self.hit_rate() * 100.0
         )?;
-        if self.traces_recorded + self.traces_reused > 0 {
+        if self.replay {
             write!(
                 f,
                 ", trace: {} recorded, {} reused",

@@ -2,7 +2,7 @@
 //! through record-once / replay-many produces **byte-identical**
 //! aggregate output to the direct path — same IPC table, same sweep
 //! metrics document, same per-cell schema-3 documents outside the
-//! host-timing self-profile — while recording each workload exactly
+//! host-timing self-profile — while recording each workload at most
 //! once. Also pins the cache-key separation: entries written by one
 //! backend never serve the other.
 
@@ -68,7 +68,7 @@ fn replay_sweep_is_byte_identical_to_direct_and_records_once() {
 
     assert_eq!(
         replay.stats.traces_recorded, 3,
-        "one recording per distinct workload, made before scheduling"
+        "one recording per distinct workload, made by its first cell"
     );
     assert_eq!(
         replay.stats.traces_reused,
@@ -105,8 +105,16 @@ fn backends_never_serve_each_other_from_the_cache() {
         .expect("warm replay sweep runs");
     assert_eq!(warm.stats.hits, 9);
     assert_eq!(
-        warm.stats.traces_recorded, 3,
-        "pre-recording happens before the cells reveal themselves as hits"
+        warm.stats.traces_recorded, 0,
+        "recording is lazy: an all-hit sweep never runs the emulator"
+    );
+    assert_eq!(warm.stats.traces_reused, 0);
+    assert!(
+        warm.stats
+            .to_string()
+            .ends_with("trace: 0 recorded, 0 reused"),
+        "{}",
+        warm.stats
     );
     assert_eq!(warm.aggregate_json(), replay.aggregate_json());
 

@@ -250,7 +250,7 @@ impl DCache {
             let line_bytes = self.line_bytes();
             self.line_buffers
                 .invalidate_overlapping(Addr::new(evicted.line_addr), line_bytes);
-            self.prefetched_pending.remove(&evicted.line_addr);
+            self.forget_prefetch(evicted.line_addr);
             self.retire_victim(now, evicted.line_addr, evicted.dirty, backside, stats);
         }
         Some(now + self.latencies.l1_hit + VictimCache::SWAP_LATENCY)
@@ -285,9 +285,16 @@ impl DCache {
 
     /// A demand access touched `line`; if a prefetch brought it, credit it.
     fn credit_prefetch(&mut self, line: u64, stats: &mut MemStats) {
-        if self.prefetched_pending.remove(&line) {
+        if self.forget_prefetch(line) {
             stats.prefetch_useful.inc();
         }
+    }
+
+    /// Drop `line` from the unused-prefetch set, reporting whether it was
+    /// there. The set is empty whenever prefetching is off, so the common
+    /// case skips the hash.
+    fn forget_prefetch(&mut self, line: u64) -> bool {
+        !self.prefetched_pending.is_empty() && self.prefetched_pending.remove(&line)
     }
 
     fn line_bytes(&self) -> u64 {
@@ -311,7 +318,7 @@ impl DCache {
                 // an unused prefetched victim can no longer earn credit.
                 self.line_buffers
                     .invalidate_overlapping(Addr::new(victim.line_addr), line_bytes);
-                self.prefetched_pending.remove(&victim.line_addr);
+                self.forget_prefetch(victim.line_addr);
                 self.retire_victim(now, victim.line_addr, victim.dirty, backside, stats);
             }
         }

@@ -102,7 +102,11 @@ impl MshrFile {
     /// `(line_addr, dirty, allocated_at)` triples for the caller to
     /// install (and account residency from the allocation cycle).
     pub fn take_completed(&mut self, now: Cycle) -> Vec<(u64, bool, Cycle)> {
-        let mut done = Vec::new();
+        // Called every cycle; most cycles retire nothing.
+        if self.entries.iter().all(|e| e.ready_at > now) {
+            return Vec::new();
+        }
+        let mut done = Vec::with_capacity(self.entries.len());
         self.entries.retain(|e| {
             if e.ready_at <= now {
                 done.push((e.line_addr, e.dirty, e.allocated_at));

@@ -9,8 +9,10 @@
 //!   simulation output is bit-identical to a build that never heard of
 //!   tracing;
 //! * feature `capture` on, handle detached ([`TraceHandle::off`], the
-//!   default) — `emit` is one branch on a `None`;
-//! * feature `capture` on, handle attached — `emit` appends to the ring.
+//!   default) — `emit` is one inlined branch on a `None`;
+//! * feature `capture` on, handle attached — `emit` calls an out-of-line
+//!   append into the ring, kept cold so the detached branch stays the
+//!   only code at each emission site.
 //!
 //! Tracing never alters simulated timing in any mode; it only observes.
 
@@ -73,12 +75,10 @@ impl TraceHandle {
 
     /// Record one event. Inlined to nothing when capture is compiled out.
     #[cfg(feature = "capture")]
-    #[inline]
+    #[inline(always)]
     pub fn emit(&self, cycle: u64, kind: EventKind, addr: u64, arg: u32) {
         if let Some(tracer) = &self.tracer {
-            tracer
-                .borrow_mut()
-                .emit(TraceEvent::new(cycle, kind, addr, arg));
+            append(tracer, TraceEvent::new(cycle, kind, addr, arg));
         }
     }
 
@@ -112,6 +112,15 @@ impl TraceHandle {
     pub fn ring_stats(&self) -> Option<RingStats> {
         None
     }
+}
+
+/// The attached half of [`TraceHandle::emit`], out of line so a detached
+/// handle costs each emission site one branch and no code.
+#[cfg(feature = "capture")]
+#[cold]
+#[inline(never)]
+fn append(tracer: &RefCell<Tracer>, event: TraceEvent) {
+    tracer.borrow_mut().emit(event);
 }
 
 #[cfg(test)]

@@ -118,12 +118,13 @@ cargo run --release --bin cpe -q -- diff "$scratch/sweep1.json" \
 
 # Replay gate (see docs/REPLAY.md): the same smoke grid under
 # `--backend replay` must be byte-identical to the direct run above —
-# same stdout table, `cpe diff` clean at zero tolerance — while
-# recording each workload's committed path exactly once before
-# scheduling and reusing it for every cell (100% trace reuse: the
-# footer's `reused` count equals the cell count). Replay cache entries
-# are keyed apart from direct ones, so a fresh cache dir keeps every
-# cell a real recomputation and the comparison honest.
+# same stdout table, `cpe diff` clean at zero tolerance — while each
+# workload's committed path is recorded once, on first use, and reused
+# for every cell (100% trace reuse: the footer's `reused` count equals
+# the cell count). Replay cache entries are keyed apart
+# from direct ones, so a fresh cache dir keeps every cell a real
+# recomputation and the comparison honest. A second run on the same
+# cache dir is served wholly from the cache and must record nothing.
 echo "== replay gate: record-once sweep, zero-tolerance vs direct" >&2
 cpe_bin=target/release/cpe
 "$cpe_bin" sweep --jobs 2 --max 2000 --workloads compress,sort \
@@ -145,6 +146,14 @@ reused="$(echo "$footer" | grep -oE '[0-9]+ reused' | grep -oE '[0-9]+')"
 [ "$reused" = "$cells" ] && [ "$recorded" -lt "$cells" ] || {
     echo "replay gate: expected 100% trace reuse ($cells cells), got" \
          "$recorded recorded, $reused reused" >&2
+    exit 1
+}
+"$cpe_bin" sweep --jobs 2 --max 2000 --workloads compress,sort \
+    --cache-dir "$scratch/cache_replay" --backend replay \
+    > /dev/null 2> "$scratch/replay_warm.log"
+grep -qE 'hit rate 100\.0%, trace: 0 recorded' "$scratch/replay_warm.log" || {
+    echo "replay gate: a warm re-run must record no trace:" >&2
+    cat "$scratch/replay_warm.log" >&2
     exit 1
 }
 

@@ -90,7 +90,7 @@ use cpe::trace::{build_records, chrome_trace_json, jsonl_record, konata_text, Tr
 use cpe::workloads::{Scale, Workload};
 use cpe::{
     diff_json, faultinject, profile_json, BackendKind, BenchReport, ProfileOptions, ProfiledRun,
-    SimConfig, Simulator, RECORD_HEADROOM,
+    SimConfig, Simulator, DEFAULT_RING_CAPACITY, RECORD_HEADROOM,
 };
 
 /// Resolve a configuration name (see `cpe configs`) or diagnose it.
@@ -238,7 +238,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let defaults = ProfileOptions::default();
     let options = ProfileOptions {
         interval: parse_number(args, "--interval")?.unwrap_or(defaults.interval),
-        ring_capacity: parse_number(args, "--ring")?.unwrap_or(defaults.ring_capacity),
+        ring_capacity: parse_number(args, "--ring")?.unwrap_or(DEFAULT_RING_CAPACITY),
     };
     let trace_format = parse_flag(args, "--trace-format").unwrap_or_else(|| "chrome".to_string());
     if trace_format != "chrome" && trace_format != "jsonl" {
@@ -391,10 +391,9 @@ fn cmd_pipeview(args: &[String]) -> Result<(), String> {
     let scale = parse_scale(args)?;
     let config = resolve_config(parse_flag(args, "--config"))?;
     let max = parse_number(args, "--max")?;
-    let defaults = ProfileOptions::default();
     let options = ProfileOptions {
-        ring_capacity: parse_number(args, "--ring")?.unwrap_or(defaults.ring_capacity),
-        ..defaults
+        ring_capacity: parse_number(args, "--ring")?.unwrap_or(DEFAULT_RING_CAPACITY),
+        ..ProfileOptions::default()
     };
     let out = parse_flag(args, "-o").unwrap_or_else(|| "pipeview.kanata".to_string());
     let sim = Simulator::new(config);

@@ -41,8 +41,8 @@ pub use cpe_core::{
     peak_rss_bytes, profile_json, summary_json, validate_cpi_stacks, BackendKind, BenchEntry,
     BenchReport, ConfigError, CpiStack, DiffEntry, DiffReport, EpochMetrics, ExecBackend,
     Experiment, JsonValue, MetricsSeries, ProfileOptions, ProfiledRun, RecordedWorkload, ResultRow,
-    RunSummary, SelfProfile, SimConfig, SimError, Simulator, StallCause, METRICS_SCHEMA,
-    RECORD_HEADROOM,
+    RunSummary, SelfProfile, SimConfig, SimError, Simulator, StallCause, DEFAULT_RING_CAPACITY,
+    METRICS_SCHEMA, RECORD_HEADROOM,
 };
 
 /// The miniature RISC ISA: instructions, assembler, functional emulator.
